@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .graph import ChipTopology, ComputationGraph
 from .kernels import chip_latency, chip_memory
-from .solver import check_static, _assignment_of
+from .solver import check_static, _checked_assignment
 
 Evaluator = Callable[[ComputationGraph, ChipTopology, object], "EvalResult"]
 
@@ -74,7 +74,7 @@ class SurrogateConfig:
 
 def memory_check(g: ComputationGraph, topo: ChipTopology, p, headroom: float = 1.0):
     """Per-chip resident bytes and whether every chip fits its SRAM budget."""
-    assign = _assignment_of(p)
+    assign = _checked_assignment(g, p, topo.num_chips)
     mem = chip_memory(assign, g.param_bytes + g.output_bytes, topo.num_chips)
     budget = topo.sram_bytes_per_chip * headroom
     return bool((mem <= budget).all()), mem
@@ -82,7 +82,7 @@ def memory_check(g: ComputationGraph, topo: ChipTopology, p, headroom: float = 1
 
 def analytical_eval(g: ComputationGraph, topo: ChipTopology, p, include_comm: bool = True) -> EvalResult:
     """Throughput under the analytical model; invalid partitions score 0."""
-    assign = _assignment_of(p)
+    assign = _checked_assignment(g, p, topo.num_chips)
     lat = chip_latency(
         assign, g.compute_cost, g.edge_src, g.edge_dst, g.edge_bytes,
         float(topo.link_bandwidth_bytes_per_time), topo.num_chips, include_comm,
@@ -113,7 +113,7 @@ def surrogate_eval(
     include_comm: bool = True,
 ) -> EvalResult:
     """Analytical model with noise, tighter memory, and injected failures."""
-    assign = _assignment_of(p)
+    assign = _checked_assignment(g, p, topo.num_chips)
     lat = chip_latency(
         assign, g.compute_cost, g.edge_src, g.edge_dst, g.edge_bytes,
         float(topo.link_bandwidth_bytes_per_time), topo.num_chips, include_comm,

@@ -69,7 +69,8 @@ class ComputationGraph:
     """Immutable DAG of operations; validated on construction.
 
     Exposes flat numpy views (costs, bytes, edge endpoints) that the solver
-    and evaluators consume directly.
+    and evaluators consume directly, plus per-node predecessor/successor
+    tuples and a topological order for propagation.
     """
 
     def __init__(self, nodes: Sequence[OpNode], edges: Sequence[DataEdge]):
@@ -95,15 +96,19 @@ class ComputationGraph:
         self.output_bytes = np.array([nd.output_bytes for nd in self.nodes], dtype=np.int64)
         self.param_bytes = np.array([nd.param_bytes for nd in self.nodes], dtype=np.int64)
 
-        self._topo_order = self._compute_topo_order()
+        preds = [[] for _ in range(n)]
+        succs = [[] for _ in range(n)]
+        for e in self.edges:
+            preds[e.dst].append(e.src)
+            succs[e.src].append(e.dst)
+        self.preds = tuple(tuple(p) for p in preds)
+        self.succs = tuple(tuple(s) for s in succs)
+        self.topo_nodes = self._compute_topo_order()
 
     def _compute_topo_order(self):
         n = self.num_nodes
-        indeg = [0] * n
-        succ = [[] for _ in range(n)]
-        for e in self.edges:
-            indeg[e.dst] += 1
-            succ[e.src].append(e.dst)
+        indeg = [len(p) for p in self.preds]
+        succ = self.succs
         heap = [i for i in range(n) if indeg[i] == 0]
         heapq.heapify(heap)
         order = []
@@ -116,26 +121,23 @@ class ComputationGraph:
                     heapq.heappush(heap, v)
         if len(order) != n:
             raise GraphCycleError("graph contains a directed cycle")
-        return np.array(order, dtype=np.int64)
+        return tuple(order)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def predecessors(self, u: int) -> list[int]:
-        return [e.src for e in self.edges if e.dst == u]
+        return list(self.preds[u])
 
     def successors(self, u: int) -> list[int]:
-        return [e.dst for e in self.edges if e.src == u]
+        return list(self.succs[u])
 
     def node_depths(self) -> np.ndarray:
         """Longest-path depth from any source node, per node."""
         depth = np.zeros(self.num_nodes, dtype=np.int64)
-        succ = [[] for _ in range(self.num_nodes)]
-        for e in self.edges:
-            succ[e.src].append(e.dst)
-        for u in self._topo_order:
-            for v in succ[u]:
+        for u in self.topo_nodes:
+            for v in self.succs[u]:
                 if depth[v] < depth[u] + 1:
                     depth[v] = depth[u] + 1
         return depth
@@ -146,7 +148,7 @@ class ComputationGraph:
 
 def topological_order(g: ComputationGraph) -> np.ndarray:
     """Topological order of node ids, ties broken by smallest id first."""
-    return g._topo_order.copy()
+    return np.array(g.topo_nodes, dtype=np.int64)
 
 
 def load_graph(source: Union[bytes, str, IO]) -> ComputationGraph:

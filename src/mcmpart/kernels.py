@@ -1,223 +1,162 @@
 """Hot numeric kernels: domain propagation, validity checking, per-chip sums.
 
-Every kernel is written as a plain function over numpy arrays and compiled
-with numba's ``@njit`` when available.  Setting ``MCMPART_DISABLE_NUMBA=1``
-(or a missing numba install) selects the interpreted fallback path; both
-paths execute the exact same function bodies, so results are bit-identical.
-
-Chip-id domains are encoded as int64 bitmasks (bit ``c`` set means chip ``c``
-is still allowed), which caps the chip count at 62.
+Chip-id domains are encoded as bitmasks (bit ``c`` set means chip ``c`` is
+still allowed), stored as int64, which caps the chip count at 62.
+Propagation works on the domains as Python ints and on per-graph adjacency
+lists; the other kernels are plain loops over numpy arrays.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 MAX_CHIPS = 62
 
-_flag = os.environ.get("MCMPART_DISABLE_NUMBA", "").strip().lower()
-_disabled = _flag in {"1", "true", "yes", "on"}
 
-if not _disabled:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        _njit = None
-else:
-    _njit = None
-
-USING_NUMBA = _njit is not None
-
-
-def _jit(fn):
-    if USING_NUMBA:
-        return _njit(cache=True)(fn)
-    return fn
-
-
-@_jit
-def _dom_min(mask):
-    # lowest set bit index; caller guarantees mask != 0
-    b = 0
-    while (mask >> b) & 1 == 0:
-        b += 1
-    return b
-
-
-@_jit
-def _dom_max(mask):
-    b = MAX_CHIPS
-    while (mask >> b) & 1 == 0:
-        b -= 1
-    return b
-
-
-@_jit
-def propagate(dom, edge_src, edge_dst, num_chips):
+def propagate(dom, order, preds, succs, num_chips):
     """Prune ``dom`` (int64 bitmasks, in place) to a fixpoint.
 
-    Enforces, conservatively, the three static placement rules:
-    edge-monotone chip ids, contiguous chip usage, and the no-coexisting
-    direct/indirect chip dependency rule over chips committed so far
-    (singleton domains).  Returns 0 on success, 1 if some domain emptied.
+    ``order`` is a topological order of the nodes, ``preds[v]`` and
+    ``succs[u]`` their adjacency lists.  Enforces, conservatively, the three
+    static placement rules: edge-monotone chip ids, contiguous chip usage,
+    and the no-coexisting direct/indirect chip dependency rule over chips
+    committed so far (singleton domains).  Every rule only removes values
+    and removes more from smaller domains, so the fixpoint does not depend
+    on the order the rules run in.  Returns 0 on success, 1 if some domain
+    emptied; ``dom`` is written only on success.
     """
-    n = dom.shape[0]
-    ne = edge_src.shape[0]
+    d = dom.tolist()
     while True:
-        changed = False
-
         # Every edge (u, v) forces min(dom[v]) >= min(dom[u]) and
-        # max(dom[u]) <= max(dom[v]); sweep edges until stable.
-        sweep = True
-        while sweep:
-            sweep = False
-            for e in range(ne):
-                u = edge_src[e]
-                v = edge_dst[e]
-                du = dom[u]
-                dv = dom[v]
-                lo = _dom_min(du)
-                ndv = dv & ~((1 << lo) - 1)
-                if ndv != dv:
-                    if ndv == 0:
+        # max(dom[u]) <= max(dom[v]).  Minimums flow forward and maximums
+        # backward, and trimming one end of a domain never moves its other
+        # end unless the domain empties, so one pass each way is stable.
+        # lows[v] is the lowest allowed chip of v as a bit, tops[u] the
+        # highest allowed chip of u plus one.
+        lows = [x & -x for x in d]
+        low_of = lows.__getitem__
+        for v in order:
+            p = preds[v]
+            if p:
+                low = max(map(low_of, p))
+                if low > lows[v]:
+                    dv = d[v] & -low
+                    if not dv:
                         return 1
-                    dom[v] = ndv
-                    dv = ndv
-                    sweep = True
-                hi = _dom_max(dv)
-                ndu = du & ((1 << (hi + 1)) - 1)
-                if ndu != du:
-                    if ndu == 0:
+                    d[v] = dv
+                    lows[v] = dv & -dv
+        tops = [x.bit_length() for x in d]
+        top_of = tops.__getitem__
+        for u in reversed(order):
+            s = succs[u]
+            if s:
+                top = min(map(top_of, s))
+                if top < tops[u]:
+                    du = d[u] & ((1 << top) - 1)
+                    if not du:
                         return 1
-                    dom[u] = ndu
-                    sweep = True
+                    d[u] = du
+                    tops[u] = du.bit_length()
 
         # Some node is forced onto a chip >= m_bound, so every chip below
         # m_bound must stay coverable; a unique coverer is forced onto it.
-        m_bound = 0
-        for i in range(n):
-            lo = _dom_min(dom[i])
-            if lo > m_bound:
-                m_bound = lo
-        for c in range(m_bound):
-            bit = 1 << c
-            cnt = 0
-            last = -1
-            for i in range(n):
-                if dom[i] & bit:
-                    cnt += 1
-                    last = i
-                    if cnt > 1:
-                        break
-            if cnt == 0:
-                return 1
-            if cnt == 1 and dom[last] != bit:
-                dom[last] = bit
-                changed = True
-
-        if changed:
+        once = twice = placed = 0
+        for x in d:
+            twice |= once & x
+            once |= x
+            if x & (x - 1) == 0:
+                placed |= x
+        below = max(lows, default=0) - 1  # chips < m_bound; lows is still current
+        if below & ~once:
+            return 1
+        force = below & ~twice & ~placed
+        if force:
+            for i, x in enumerate(d):
+                hit = x & force
+                if hit:
+                    if hit & (hit - 1):
+                        return 1  # sole coverer of two chips
+                    d[i] = hit
             continue
 
-        # Chip dependency graph over committed nodes (singleton domains).
-        direct = np.zeros((num_chips, num_chips), np.bool_)
-        ndirect = 0
-        for e in range(ne):
-            du = dom[edge_src[e]]
-            dv = dom[edge_dst[e]]
-            if du & (du - 1) == 0 and dv & (dv - 1) == 0:
-                a = _dom_min(du)
-                c = _dom_min(dv)
-                if a != c and not direct[a, c]:
-                    direct[a, c] = True
-                    ndirect += 1
+        # Chip dependency graph over committed nodes: bit c of out[a] is
+        # set when a committed edge runs from chip a to chip c.  The edge
+        # rule above makes every such edge go from a lower to a higher chip.
+        out = [0] * num_chips
+        for u, s in enumerate(succs):
+            du = d[u]
+            if s and du & (du - 1) == 0:
+                for v in s:
+                    dv = d[v]
+                    if dv != du and dv & (dv - 1) == 0:
+                        out[du.bit_length() - 1] |= dv
+        if not any(out):
+            break
 
-        if ndirect > 0:
-            # Longest committed path between chips; chip edges only go
-            # low -> high here, so a per-source forward scan suffices.
-            delta = np.full((num_chips, num_chips), -1, np.int64)
-            for a in range(num_chips):
-                delta[a, a] = 0
-                for x in range(a + 1, num_chips):
-                    best = -1
-                    for y in range(a, x):
-                        if direct[y, x] and delta[a, y] >= 0:
-                            if delta[a, y] + 1 > best:
-                                best = delta[a, y] + 1
-                    delta[a, x] = best
+        # reach[a]: chips reachable from a by committed chip edges (a
+        # included); longer[a]: those reachable by a path of >= 2 edges.  A
+        # direct edge shadowed by a longer path is already unrecoverable.
+        reach = [0] * num_chips
+        longer = [0] * num_chips
+        for a in range(num_chips - 1, -1, -1):
+            r = 1 << a
+            ln = 0
+            for c, b in _bits(out[a]):
+                r |= reach[c]
+                ln |= reach[c] ^ b
+            if out[a] & ln:
+                return 1
+            reach[a] = r
+            longer[a] = ln
+        anc = [0] * num_chips  # anc[c]: chips that reach c
+        for a, r in enumerate(reach):
+            for c, _ in _bits(r):
+                anc[c] |= 1 << a
 
-            # A committed direct edge shadowed by a longer committed path is
-            # already unrecoverable.
-            for a in range(num_chips):
-                for c in range(a + 1, num_chips):
-                    if direct[a, c] and delta[a, c] >= 2:
-                        return 1
+        # ahead[p] bit q: a new direct chip edge p -> q would create a path
+        # of >= 2 edges alongside some direct edge (x, y), via x..p -> q..y,
+        # or alongside itself.
+        ahead = longer[:]
+        for x, m in enumerate(out):
+            for y, b in _bits(m):
+                for p, _ in _bits(reach[x]):
+                    ahead[p] |= anc[y] if p != x else anc[y] ^ b
+        behind = [0] * num_chips  # behind[q] bit p: ahead[p] bit q
+        for p in range(num_chips):
+            ahead[p] &= ~(1 << p)
+            for q, _ in _bits(ahead[p]):
+                behind[q] |= 1 << p
+        if not any(ahead):
+            break
 
-            # Direct chip edges as flat lists for the look-ahead below.
-            dxs = np.empty(ndirect, np.int64)
-            dys = np.empty(ndirect, np.int64)
-            k = 0
-            for a in range(num_chips):
-                for c in range(a + 1, num_chips):
-                    if direct[a, c]:
-                        dxs[k] = a
-                        dys[k] = c
-                        k += 1
-
-            # bad[p, q]: adding direct chip edge (p, q) would stretch some
-            # existing direct edge (x, y) into a >= 2 path x..p -> q..y.
-            bad = np.zeros((num_chips, num_chips), np.bool_)
-            for p in range(num_chips):
-                for q in range(num_chips):
-                    if p == q:
-                        continue
-                    for d in range(ndirect):
-                        x = dxs[d]
-                        y = dys[d]
-                        if delta[x, p] >= 0 and delta[q, y] >= 0 and delta[x, p] + 1 + delta[q, y] >= 2:
-                            bad[p, q] = True
-                            break
-
-            # Look-ahead on edges with exactly one committed endpoint: a
-            # candidate chip that provably breaks the rule is dropped.
-            for e in range(ne):
-                u = edge_src[e]
-                v = edge_dst[e]
-                du = dom[u]
-                dv = dom[v]
-                su = du & (du - 1) == 0
-                sv = dv & (dv - 1) == 0
-                if su and not sv:
-                    a = _dom_min(du)
-                    nd = dv
-                    for w in range(num_chips):
-                        if (dv >> w) & 1 and w != a:
-                            if delta[a, w] >= 2 or bad[a, w]:
-                                nd &= ~(1 << w)
-                    if nd != dv:
-                        if nd == 0:
-                            return 1
-                        dom[v] = nd
-                        changed = True
-                elif sv and not su:
-                    c = _dom_min(dv)
-                    nd = du
-                    for w in range(num_chips):
-                        if (du >> w) & 1 and w != c:
-                            if delta[w, c] >= 2 or bad[w, c]:
-                                nd &= ~(1 << w)
+        # Look-ahead on edges with exactly one committed endpoint: a
+        # candidate chip that provably breaks the rule is dropped.
+        changed = False
+        for u, s in enumerate(succs):
+            for v in s:
+                du = d[u]
+                dv = d[v]
+                if du & (du - 1) == 0:
+                    if dv & (dv - 1):
+                        nd = dv & ~ahead[du.bit_length() - 1]
+                        if nd != dv:
+                            if not nd:
+                                return 1
+                            d[v] = nd
+                            changed = True
+                elif dv & (dv - 1) == 0:
+                    nd = du & ~behind[dv.bit_length() - 1]
                     if nd != du:
-                        if nd == 0:
+                        if not nd:
                             return 1
-                        dom[u] = nd
+                        d[u] = nd
                         changed = True
-
         if not changed:
-            return 0
+            break
+    dom[:] = d
+    return 0
 
 
-@_jit
 def check_static_kernel(assign, edge_src, edge_dst, num_chips):
     """Direct evaluation of the three static rules on a total assignment.
 
@@ -278,7 +217,6 @@ def check_static_kernel(assign, edge_src, edge_dst, num_chips):
     return 0, -1, -1
 
 
-@_jit
 def chip_latency(assign, cost, edge_src, edge_dst, edge_bytes, bandwidth, num_chips, include_comm):
     """Per-chip latency: node costs plus (optionally) outbound transfer time."""
     lat = np.zeros(num_chips, np.float64)
@@ -292,7 +230,6 @@ def chip_latency(assign, cost, edge_src, edge_dst, edge_bytes, bandwidth, num_ch
     return lat
 
 
-@_jit
 def chip_memory(assign, node_bytes, num_chips):
     """Per-chip resident bytes (parameters + outputs of the nodes placed there)."""
     mem = np.zeros(num_chips, np.int64)
@@ -301,17 +238,17 @@ def chip_memory(assign, node_bytes, num_chips):
     return mem
 
 
+def _bits(mask):
+    """The set bits of ``mask`` as ``(index, bit)`` pairs, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1, bit
+
+
 def mask_to_values(mask):
     """Decode a domain bitmask into a sorted tuple of chip ids."""
-    out = []
-    m = int(mask)
-    b = 0
-    while m:
-        if m & 1:
-            out.append(b)
-        m >>= 1
-        b += 1
-    return tuple(out)
+    return tuple(c for c, _ in _bits(int(mask)))
 
 
 def values_to_mask(values):

@@ -72,9 +72,14 @@ class Partition:
         )
 
 
-def _assignment_of(p) -> np.ndarray:
-    arr = p.assignment if isinstance(p, Partition) else p
-    return np.asarray(arr, dtype=np.int64)
+def _checked_assignment(g: ComputationGraph, p, num_chips: int, what: str = "assignment") -> np.ndarray:
+    """The assignment of ``p`` as int64, checked for length and chip range."""
+    assign = np.asarray(p.assignment if isinstance(p, Partition) else p, dtype=np.int64)
+    if len(assign) != g.num_nodes:
+        raise InvalidConfigError(f"{what} length {len(assign)} != node count {g.num_nodes}")
+    if len(assign) and (assign.min() < 0 or assign.max() >= num_chips):
+        raise InvalidConfigError(f"{what} values must lie in [0, num_chips)")
+    return assign
 
 
 def check_static(g: ComputationGraph, p, num_chips: int) -> StaticReport:
@@ -83,11 +88,7 @@ def check_static(g: ComputationGraph, p, num_chips: int) -> StaticReport:
     Implemented independently of the solver (no domains, no propagation) so
     it can serve as the oracle for solver outputs.
     """
-    assign = _assignment_of(p)
-    if len(assign) != g.num_nodes:
-        raise InvalidConfigError(f"assignment length {len(assign)} != node count {g.num_nodes}")
-    if len(assign) and (assign.min() < 0 or assign.max() >= num_chips):
-        raise InvalidConfigError("assignment values must lie in [0, num_chips)")
+    assign = _checked_assignment(g, p, num_chips)
     code, w0, w1 = check_static_kernel(assign, g.edge_src, g.edge_dst, num_chips)
     if code == 0:
         return StaticReport(ok=True)
@@ -114,7 +115,7 @@ class ConstraintSolver:
         self._dom = np.full(n, init_mask, dtype=np.int64)
         self._trail: list[tuple[int, int, np.ndarray]] = []
         if n and g.num_edges:
-            status = propagate(self._dom, g.edge_src, g.edge_dst, c)
+            status = self._propagate()
             if status != 0:  # full domains never wipe; defensive only
                 raise InfeasibleError("infeasible at initialization")
 
@@ -151,10 +152,14 @@ class ConstraintSolver:
         self._trail.append((u, value, snapshot))
         if new != cur:
             self._dom[u] = new
-            status = propagate(self._dom, self.graph.edge_src, self.graph.edge_dst, self.topo.num_chips)
+            status = self._propagate()
             if status != 0:
                 return self._backtrack()
         return len(self._trail)
+
+    def _propagate(self) -> int:
+        g = self.graph
+        return propagate(self._dom, g.topo_nodes, g.preds, g.succs, self.topo.num_chips)
 
     def _backtrack(self) -> int:
         while self._trail:
@@ -166,7 +171,7 @@ class ConstraintSolver:
             if remaining == 0:
                 continue
             self._dom[node] = remaining
-            status = propagate(self._dom, self.graph.edge_src, self.graph.edge_dst, self.topo.num_chips)
+            status = self._propagate()
             if status == 0:
                 return len(self._trail)
         raise InfeasibleError("backtracking exhausted the root domain")
@@ -292,11 +297,7 @@ def solve_fix(
     """
     n = g.num_nodes
     c = topo.num_chips
-    y = _assignment_of(y)
-    if len(y) != n:
-        raise InvalidConfigError(f"candidate length {len(y)} != node count {n}")
-    if len(y) and (y.min() < 0 or y.max() >= c):
-        raise InvalidConfigError("candidate values must lie in [0, num_chips)")
+    y = _checked_assignment(g, y, c, what="candidate")
     budget = STEP_BUDGET_FACTOR * max(n, 1) if step_budget is None else step_budget
     for attempt in range(max(1, max_restarts)):
         solver = ConstraintSolver(g, topo)

@@ -39,6 +39,19 @@ def test_eval_invalid_partition_is_not_an_error(tmp_path):
     assert doc["throughput"] == 0.0
 
 
+@pytest.mark.parametrize("assignment", [[0, 2], [-1, 0], [0]])
+def test_eval_bad_assignment_is_a_config_error(tmp_path, capsys, assignment):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"assignment": assignment}))
+    for evaluator in ("analytical", "surrogate"):
+        code = run(["eval", "--graph", g, "--partition", bad, "--chips", 2, "--evaluator", evaluator])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-config:") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["gen", "--unknown-flag", "1"])
