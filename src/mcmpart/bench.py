@@ -17,7 +17,7 @@ from .evaluator import Evaluator, SurrogateConfig, analytical_eval, make_surroga
 from .graph import ChipTopology, ComputationGraph, graph_to_json
 from .policy import PolicyParams
 from .search import SaConfig, SearchBudget, SearchTrace, greedy_heuristic, random_search, simulated_annealing
-from .solver import check_static, solve_sample, uniform_distribution
+from .solver import check_static, enumerate_valid, solve_sample, uniform_distribution
 from .training import ModelConfig, PpoConfig, train_from_scratch
 
 STRATEGIES = ("random", "sa", "rl", "zeroshot", "finetune")
@@ -187,9 +187,6 @@ def sparsity_probe(
     c = topo.num_chips
     if exhaustive:
         total = c ** n
-        valid = 0
-        from .solver import enumerate_valid
-
         valid = len(enumerate_valid(g, topo))
         frac = valid / total if total else 1.0
         return SparsityResult(frac, frac, frac, valid, total, exact=True)

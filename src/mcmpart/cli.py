@@ -565,6 +565,9 @@ def main(argv=None) -> int:
     except McmPartError as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
         return 1
+    except OSError as exc:
+        sys.stderr.write(f"error: io-error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

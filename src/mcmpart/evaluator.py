@@ -11,6 +11,7 @@ analytical model to emulate the gap to real hardware.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -59,6 +60,8 @@ class SurrogateConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.noise_scale, self.extra_failure_rate, self.memory_headroom)):
+            raise InvalidConfigError("surrogate knobs must be finite")
         if self.noise_scale < 0:
             raise InvalidConfigError("noise_scale must be >= 0")
         if not (0.0 <= self.extra_failure_rate < 1.0):
@@ -82,27 +85,7 @@ def memory_check(g: ComputationGraph, topo: ChipTopology, p, headroom: float = 1
 
 def analytical_eval(g: ComputationGraph, topo: ChipTopology, p, include_comm: bool = True) -> EvalResult:
     """Throughput under the analytical model; invalid partitions score 0."""
-    assign = _checked_assignment(g, p, topo.num_chips)
-    lat = chip_latency(
-        assign, g.compute_cost, g.edge_src, g.edge_dst, g.edge_bytes,
-        float(topo.link_bandwidth_bytes_per_time), topo.num_chips, include_comm,
-    )
-    mem_ok, mem = memory_check(g, topo, assign)
-    static = check_static(g, assign, topo.num_chips)
-    if not static.ok:
-        return EvalResult(False, 0.0, lat, mem, failure_reason="static")
-    if not mem_ok:
-        return EvalResult(False, 0.0, lat, mem, failure_reason="memory")
-    worst = float(lat.max()) if len(lat) else 0.0
-    throughput = 1.0 / worst if worst > 0 else float("inf")
-    return EvalResult(True, throughput, lat, mem)
-
-
-def _partition_rng(assign: np.ndarray, seed: int) -> np.random.Generator:
-    # Deterministic per (partition, seed): hash the assignment bytes into
-    # the seed sequence so repeated evaluations agree exactly.
-    digest = zlib.crc32(assign.tobytes())
-    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, digest, len(assign)]))
+    return _score(g, topo, p, include_comm)
 
 
 def surrogate_eval(
@@ -113,23 +96,37 @@ def surrogate_eval(
     include_comm: bool = True,
 ) -> EvalResult:
     """Analytical model with noise, tighter memory, and injected failures."""
+    return _score(g, topo, p, include_comm, cfg)
+
+
+def _partition_rng(assign: np.ndarray, seed: int) -> np.random.Generator:
+    # Deterministic per (partition, seed): hash the assignment bytes into
+    # the seed sequence so repeated evaluations agree exactly.
+    digest = zlib.crc32(assign.tobytes())
+    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, digest, len(assign)]))
+
+
+def _score(g, topo, p, include_comm: bool, cfg: Optional[SurrogateConfig] = None) -> EvalResult:
+    """The analytical model, with the surrogate's perturbations when ``cfg`` is given."""
     assign = _checked_assignment(g, p, topo.num_chips)
     lat = chip_latency(
         assign, g.compute_cost, g.edge_src, g.edge_dst, g.edge_bytes,
         float(topo.link_bandwidth_bytes_per_time), topo.num_chips, include_comm,
     )
-    rng = _partition_rng(assign, cfg.seed)
-    if cfg.noise_scale > 0:
-        lat = lat * np.exp(cfg.noise_scale * rng.standard_normal(topo.num_chips))
-    else:
-        rng.standard_normal(topo.num_chips)  # keep the draw order fixed
-    mem_ok, mem = memory_check(g, topo, assign, headroom=cfg.memory_headroom)
+    headroom = 1.0
+    if cfg is not None:
+        rng = _partition_rng(assign, cfg.seed)
+        noise = rng.standard_normal(topo.num_chips)  # drawn even at zero scale: fixed draw order
+        if cfg.noise_scale > 0:
+            lat = lat * np.exp(cfg.noise_scale * noise)
+        headroom = cfg.memory_headroom
+    mem_ok, mem = memory_check(g, topo, assign, headroom=headroom)
     static = check_static(g, assign, topo.num_chips)
     if not static.ok:
         return EvalResult(False, 0.0, lat, mem, failure_reason="static")
     if not mem_ok:
         return EvalResult(False, 0.0, lat, mem, failure_reason="memory")
-    if cfg.extra_failure_rate > 0 and rng.random() < cfg.extra_failure_rate:
+    if cfg is not None and cfg.extra_failure_rate > 0 and rng.random() < cfg.extra_failure_rate:
         return EvalResult(False, 0.0, lat, mem, failure_reason="dynamic")
     worst = float(lat.max()) if len(lat) else 0.0
     throughput = 1.0 / worst if worst > 0 else float("inf")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
 
@@ -29,6 +30,8 @@ class OpNode:
     param_bytes: int
 
     def __post_init__(self):
+        if not math.isfinite(self.compute_cost):
+            raise GraphFormatError(f"node {self.id}: non-finite cost {self.compute_cost}")
         if self.compute_cost < 0 or self.output_bytes < 0 or self.param_bytes < 0:
             raise GraphFormatError(f"node {self.id}: negative cost or bytes")
 
@@ -61,8 +64,8 @@ class ChipTopology:
             raise InvalidConfigError("num_chips must be >= 1")
         if self.num_chips > MAX_CHIPS:
             raise InvalidConfigError(f"num_chips must be <= {MAX_CHIPS}")
-        if self.sram_bytes_per_chip <= 0 or self.link_bandwidth_bytes_per_time <= 0:
-            raise InvalidConfigError("chip capacities must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.sram_bytes_per_chip, self.link_bandwidth_bytes_per_time)):
+            raise InvalidConfigError("chip capacities must be positive and finite")
 
 
 class ComputationGraph:
@@ -126,12 +129,6 @@ class ComputationGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def predecessors(self, u: int) -> list[int]:
-        return list(self.preds[u])
-
-    def successors(self, u: int) -> list[int]:
-        return list(self.succs[u])
 
     def node_depths(self) -> np.ndarray:
         """Longest-path depth from any source node, per node."""

@@ -23,7 +23,7 @@ from .evaluator import Evaluator
 from .graph import ChipTopology, ComputationGraph, load_graph_file, save_graph
 from .policy import GraphFeatures, ModelConfig, PolicyParams, init_params, load_checkpoint, save_checkpoint
 from .search import SearchBudget, SearchTrace, _baseline_throughput
-from .training import PpoConfig, _record_rollout, ppo_update, rollout, train
+from .training import PpoConfig, ppo_update, rollout, train
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +181,7 @@ def zero_shot(
     trace = SearchTrace()
     for _ in range(samples):
         ro = rollout(g, topo, params, cfg, rng, evaluator, feats=feats, baseline=baseline)
-        _record_rollout(trace, ro, baseline)
+        trace.record(ro, ro.partition)
     return trace
 
 

@@ -217,31 +217,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
-def embed_graph(g: ComputationGraph, params: PolicyParams, prev_actions=None, feats: GraphFeatures | None = None) -> np.ndarray:
-    """Per-node embeddings after all aggregation layers."""
-    feats = feats or GraphFeatures(g, params.config)
-    x = feats.features(prev_actions)
-    cfg = params.config
-    w = params.weights
-    h = x
-    for l in range(cfg.num_layers):
-        z = np.concatenate([h, feats.a_in @ h, feats.a_out @ h], axis=1)
-        h = np.tanh(z @ w[f"sage{l}_W"] + w[f"sage{l}_b"])
-    return h
-
-
-def policy_forward(h: np.ndarray, params: PolicyParams) -> np.ndarray:
-    """Row-stochastic distribution matrix from node embeddings."""
-    w = params.weights
-    t1 = np.tanh(h @ w["head_W1"] + w["head_b1"])
-    logits = t1 @ w["head_W2"] + w["head_b2"]
-    return softmax(logits)
-
-
 def sample_rows(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One categorical draw per row."""
     cum = np.cumsum(P, axis=1)
@@ -286,36 +261,41 @@ def save_checkpoint(path, params: PolicyParams, meta: dict | None = None) -> Non
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Any file that does not decode as one raises :class:`CheckpointFormatError`.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad magic in {path}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        data = fh.read()
+    if not data.startswith(CHECKPOINT_MAGIC):
+        raise CheckpointFormatError(f"bad magic in {path}")
+    try:
+        pos = len(CHECKPOINT_MAGIC) + 8
+        (hlen,) = struct.unpack_from("<Q", data, pos - 8)
+        header = json.loads(data[pos : pos + hlen].decode("utf-8"))
+        pos += hlen
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {header.get('version')}")
         cfg_doc = dict(header["config"])
         cfg_doc["op_vocab"] = tuple(cfg_doc["op_vocab"])
         config = ModelConfig(**cfg_doc)
-        weights = {}
-        opt_m = {}
-        opt_v = {}
+        arrays = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            if pos + count * 8 > len(data):
                 raise CheckpointFormatError("truncated checkpoint payload")
-            arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-            name = entry["name"]
-            if name.startswith("adam_m."):
-                opt_m[name[len("adam_m.") :]] = arr.copy()
-            elif name.startswith("adam_v."):
-                opt_v[name[len("adam_v.") :]] = arr.copy()
-            else:
-                weights[name] = arr.copy()
-    params = PolicyParams(config, weights)
-    params.opt_m = opt_m
-    params.opt_v = opt_v
-    params.opt_t = int(header.get("adam_t", 0))
+            arrays[entry["name"]] = np.frombuffer(data, "<f8", count, pos).astype(np.float64).reshape(shape)
+            pos += count * 8
+        opt_t = int(header.get("adam_t", 0))
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointFormatError(f"corrupt checkpoint {path}: {exc}") from exc
+
+    def section(prefix):
+        return {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+    params = PolicyParams(config, {k: v for k, v in arrays.items() if not k.startswith(("adam_m.", "adam_v."))})
+    params.opt_m = section("adam_m.")
+    params.opt_v = section("adam_v.")
+    params.opt_t = opt_t
     return params, header.get("meta", {})

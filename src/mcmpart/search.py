@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError
-from .evaluator import EvalResult, Evaluator, analytical_eval
+from .evaluator import Evaluator, analytical_eval
 from .graph import ChipTopology, ComputationGraph, topological_order
 from .solver import Partition, check_static, solve_fix, solve_sample, uniform_distribution
 
@@ -52,7 +52,8 @@ class SearchTrace:
     valid: list[bool] = field(default_factory=list)
     best_partition: Optional[Partition] = None
 
-    def record(self, result: EvalResult, partition: Optional[Partition]) -> None:
+    def record(self, result, partition: Optional[Partition]) -> None:
+        """Append one sample scored by ``result``: an EvalResult or a training Rollout."""
         t = result.throughput if result.valid else 0.0
         prev = self.best[-1] if self.best else 0.0
         self.throughput.append(t)

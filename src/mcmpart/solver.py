@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
+from .errors import GraphFormatError, InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
 from .graph import ChipTopology, ComputationGraph
 from .kernels import check_static_kernel, mask_to_values, propagate, values_to_mask
 
@@ -64,12 +64,12 @@ class Partition:
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
-        doc = json.loads(text)
-        return cls(
-            assignment=np.asarray(doc["assignment"], dtype=np.int64),
-            source=doc.get("source", "sampled"),
-            valid=bool(doc.get("valid", True)),
-        )
+        try:
+            doc = json.loads(text)
+            assignment = np.asarray(doc["assignment"], dtype=np.int64)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise GraphFormatError(f"malformed partition document: {exc}") from exc
+        return cls(assignment=assignment, source=doc.get("source", "sampled"), valid=bool(doc.get("valid", True)))
 
 
 def _checked_assignment(g: ComputationGraph, p, num_chips: int, what: str = "assignment") -> np.ndarray:
@@ -252,30 +252,12 @@ def solve_sample(
     random order; chronological backtracking is highly order-sensitive, so
     a bounded number of restarts tames thrash on dependency-dense graphs.
     """
-    n = g.num_nodes
-    c = topo.num_chips
-    P = _validate_distribution(P, n, c)
-    budget = STEP_BUDGET_FACTOR * max(n, 1) if step_budget is None else step_budget
-    for attempt in range(max(1, max_restarts)):
-        solver = ConstraintSolver(g, topo)
-        attempt_order = _default_order(n, order, rng)
-        steps = 0
-        i = 0
-        failed = False
-        while i < n:
-            if steps >= budget:
-                failed = True
-                break
-            steps += 1
-            u = int(attempt_order[i])
-            v = _sample_from_mask(P[u], solver.domain_mask(u), rng)
-            i = solver.set_domain(u, (v,))
-        if failed:
-            continue
-        part = Partition(solver.assignment(), source="sampled")
-        _assert_valid(g, topo, part)
-        return part
-    raise StepBudgetError(f"exceeded {budget} decisions in each of {max_restarts} attempts while sampling")
+    P = _validate_distribution(P, g.num_nodes, topo.num_chips)
+
+    def choose(u, mask, i):
+        return (_sample_from_mask(P[u], mask, rng),)
+
+    return _restarting_search(g, topo, rng, order, step_budget, max_restarts, 1, choose, "sampled", "sampling")
 
 
 def solve_fix(
@@ -296,38 +278,45 @@ def solve_fix(
     order, as in :func:`solve_sample`.
     """
     n = g.num_nodes
-    c = topo.num_chips
-    y = _checked_assignment(g, y, c, what="candidate")
+    y = _checked_assignment(g, y, topo.num_chips, what="candidate")
+
+    def choose(u, mask, i):
+        if i >= n:
+            allowed = mask_to_values(mask)
+            return (allowed[rng.integers(0, len(allowed))],)
+        if mask & (1 << int(y[u])):
+            return (int(y[u]),)
+        return mask_to_values(mask)  # candidate infeasible here: re-assert the domain and move on
+
+    return _restarting_search(g, topo, rng, order, step_budget, max_restarts, 2, choose, "repaired", "repairing")
+
+
+def _restarting_search(g, topo, rng, order, step_budget, max_restarts, passes, choose, source, verb) -> Partition:
+    """The restart loop both construction strategies share.
+
+    Each attempt builds a fresh solver and visits the nodes ``passes`` times
+    in one order; ``choose(u, mask, i)`` gives the values node ``u`` is
+    restricted to at decision index ``i``.  An attempt that spends its
+    decision budget restarts with a fresh order.
+    """
+    n = g.num_nodes
+    decisions = passes * n
     budget = STEP_BUDGET_FACTOR * max(n, 1) if step_budget is None else step_budget
-    for attempt in range(max(1, max_restarts)):
+    for _ in range(max(1, max_restarts)):
         solver = ConstraintSolver(g, topo)
         attempt_order = _default_order(n, order, rng)
         steps = 0
         i = 0
-        failed = False
-        while i < 2 * n:
-            if steps >= budget:
-                failed = True
-                break
+        while i < decisions and steps < budget:
             steps += 1
             u = int(attempt_order[i % n])
-            mask = solver.domain_mask(u)
-            if i < n:
-                if mask & (1 << int(y[u])):
-                    i = solver.set_domain(u, (int(y[u]),))
-                else:
-                    # candidate infeasible here: re-assert the domain and move on
-                    i = solver.set_domain(u, mask_to_values(mask))
-            else:
-                allowed = mask_to_values(mask)
-                v = allowed[rng.integers(0, len(allowed))]
-                i = solver.set_domain(u, (v,))
-        if failed:
+            i = solver.set_domain(u, choose(u, solver.domain_mask(u), i))
+        if i < decisions:
             continue
-        part = Partition(solver.assignment(), source="repaired")
+        part = Partition(solver.assignment(), source=source)
         _assert_valid(g, topo, part)
         return part
-    raise StepBudgetError(f"exceeded {budget} decisions in each of {max_restarts} attempts while repairing")
+    raise StepBudgetError(f"exceeded {budget} decisions in each of {max_restarts} attempts while {verb}")
 
 
 def _assert_valid(g: ComputationGraph, topo: ChipTopology, part: Partition) -> None:

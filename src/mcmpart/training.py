@@ -27,7 +27,6 @@ from .policy import (
     init_params,
     log_softmax,
     sample_rows,
-    softmax,
 )
 from .search import SearchBudget, SearchTrace, _baseline_throughput
 from .solver import Partition, solve_fix, solve_sample
@@ -63,6 +62,7 @@ class Rollout:
     partition: Optional[Partition]
     valid: bool
     infeasible: bool = False
+    throughput: float = 0.0  # the evaluator's score of the partition; 0 unless valid
 
 
 def rollout(
@@ -115,7 +115,7 @@ def rollout(
     result = evaluator(g, topo, part)
     part.valid = bool(result.valid)
     reward = result.throughput / baseline if result.valid and math.isfinite(result.throughput) else 0.0
-    return Rollout(actions, old_logp, reward, part, valid=bool(result.valid))
+    return Rollout(actions, old_logp, reward, part, valid=bool(result.valid), throughput=result.throughput)
 
 
 def ppo_loss_and_grads(
@@ -219,11 +219,9 @@ def ppo_update(
     """
     rewards = np.array([r.reward for r in rollouts], dtype=np.float64)
     if params.config.use_value_head:
-        advantages = np.empty(len(rollouts))
-        for i, ro in enumerate(rollouts):
-            x = feats.features(None)
-            _, value, _ = forward_policy(params, feats, x)
-            advantages[i] = rewards[i] - value
+        # every rollout starts from the same step-0 features, so one forward serves all
+        _, value, _ = forward_policy(params, feats, feats.features(None))
+        advantages = rewards - value
     else:
         advantages = rewards - baseline_reward
     stats = {"loss": 0.0, "aborted": False, "mean_reward": float(rewards.mean()) if len(rewards) else 0.0}
@@ -271,26 +269,13 @@ def train(
         for _ in range(batch_size):
             ro = rollout(g, topo, params, cfg, rng, evaluator, feats=feats, baseline=baseline, use_solver=use_solver)
             batch.append(ro)
-            _record_rollout(trace, ro, baseline)
+            trace.record(ro, ro.partition)
         samples += batch_size
         if batch_size == cfg.num_rollouts:
             ema = np.mean([r.reward for r in batch]) if ema is None else ema
             ppo_update(params, batch, cfg, feats, float(ema), rng)
             ema = cfg.baseline_decay * ema + (1 - cfg.baseline_decay) * float(np.mean([r.reward for r in batch]))
     return params, trace
-
-
-def _record_rollout(trace: SearchTrace, ro: Rollout, baseline: float) -> None:
-    # traces store raw throughput; rewards are the normalized view
-    t = ro.reward * baseline if ro.valid else 0.0
-    prev = trace.best[-1] if trace.best else 0.0
-    trace.throughput.append(t)
-    trace.valid.append(ro.valid)
-    if t > prev and ro.partition is not None:
-        trace.best.append(t)
-        trace.best_partition = ro.partition
-    else:
-        trace.best.append(prev)
 
 
 def train_from_scratch(

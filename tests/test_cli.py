@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcmpart.cli import main
+from mcmpart.policy import CHECKPOINT_MAGIC
 from mcmpart.solver import Partition
 
 
@@ -50,6 +51,49 @@ def test_eval_bad_assignment_is_a_config_error(tmp_path, capsys, assignment):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-config:") and err.count("\n") == 1
+
+
+def _one_line_error(capsys, code):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}:") and err.count("\n") == 1, err
+
+
+def test_missing_graph_file_is_an_io_error(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text(Partition(np.array([0, 0]), source="sampled").to_json())
+    assert run(["eval", "--graph", tmp_path / "missing.json", "--partition", p, "--chips", 2]) == 1
+    _one_line_error(capsys, "io-error")
+
+
+def test_non_json_partition_is_a_parse_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])
+    bad = tmp_path / "bad.json"
+    bad.write_text("assignment: [0, 1]\n")
+    assert run(["eval", "--graph", g, "--partition", bad, "--chips", 2]) == 1
+    _one_line_error(capsys, "parse-error")
+
+
+def test_truncated_checkpoint_is_a_format_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", g])
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + b"\x01\x02\x03")
+    assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 1,
+                "--out", tmp_path / "zs.csv"]) == 1
+    _one_line_error(capsys, "checkpoint-format")
+
+
+def test_nan_cost_graph_is_a_parse_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])
+    doc = json.loads(g.read_text())
+    doc["nodes"][0]["cost"] = float("nan")
+    g.write_text(json.dumps(doc))  # json writes the bare NaN token
+    p = tmp_path / "p.json"
+    p.write_text(Partition(np.array([0, 1]), source="sampled").to_json())
+    assert run(["eval", "--graph", g, "--partition", p, "--chips", 2]) == 1
+    _one_line_error(capsys, "parse-error")
 
 
 def test_unknown_flag_exits_2(tmp_path):

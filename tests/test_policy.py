@@ -6,14 +6,12 @@ from mcmpart.errors import CheckpointFormatError, DimensionMismatchError
 from mcmpart.policy import (
     GraphFeatures,
     ModelConfig,
-    embed_graph,
+    forward_policy,
     init_params,
     load_checkpoint,
     log_softmax,
-    policy_forward,
     sample_rows,
     save_checkpoint,
-    softmax,
 )
 
 from conftest import make_graph
@@ -23,11 +21,24 @@ def tiny_params(num_chips=2, seed=0, **kw):
     return init_params(ModelConfig.tiny(num_chips=num_chips, **kw), np.random.default_rng(seed))
 
 
+def embeddings(g, params):
+    """Per-node embeddings after all aggregation layers, at the first step."""
+    feats = GraphFeatures(g, params.config)
+    _, _, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
+    return cache[0]
+
+
+def distribution(g, params):
+    """Row-stochastic chip distribution at the first step."""
+    feats = GraphFeatures(g, params.config)
+    logits, _, _ = forward_policy(params, feats, feats.features(None))
+    return np.exp(log_softmax(logits))
+
+
 def test_rows_are_stochastic():
     g = generate_synthetic(GeneratorConfig("layered", 14, seed=3))
     params = tiny_params(num_chips=4, seed=1)
-    h = embed_graph(g, params)
-    P = policy_forward(h, params)
+    P = distribution(g, params)
     assert P.shape == (14, 4)
     assert (P >= 0).all()
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
@@ -38,26 +49,27 @@ def test_zero_head_weights_give_uniform_rows():
     params = tiny_params(num_chips=3, seed=0)
     params.weights["head_W2"][:] = 0.0
     params.weights["head_b2"][:] = 0.0
-    P = policy_forward(embed_graph(g, params), params)
+    P = distribution(g, params)
     np.testing.assert_allclose(P, 1.0 / 3.0)
 
 
 def test_softmax_shift_invariance():
     logits = np.random.default_rng(0).standard_normal((5, 3))
     shifted = logits + np.array([[10.0], [-3.0], [0.5], [100.0], [0.0]])
-    np.testing.assert_allclose(softmax(logits), softmax(shifted), atol=1e-12)
+    np.testing.assert_allclose(np.exp(log_softmax(logits)), np.exp(log_softmax(shifted)), atol=1e-12)
 
 
 def test_log_softmax_matches_softmax():
     logits = np.random.default_rng(1).standard_normal((4, 6)) * 30
-    np.testing.assert_allclose(np.exp(log_softmax(logits)), softmax(logits), atol=1e-12)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(np.exp(log_softmax(logits)), e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_edgeless_graph_embedding_uses_self_features_only():
     # identical features + empty neighborhoods -> identical embeddings
     g = make_graph(3, [], costs=[2.0, 2.0, 2.0])
     params = tiny_params(num_chips=2)
-    h = embed_graph(g, params)
+    h = embeddings(g, params)
     np.testing.assert_allclose(h[0], h[1], atol=1e-12)
     np.testing.assert_allclose(h[0], h[2], atol=1e-12)
 
@@ -65,14 +77,14 @@ def test_edgeless_graph_embedding_uses_self_features_only():
 def test_isomorphic_nodes_share_embeddings(diamond):
     # nodes 1 and 2 of the diamond have the same features and neighborhoods
     params = tiny_params(num_chips=2)
-    h = embed_graph(diamond, params)
+    h = embeddings(diamond, params)
     np.testing.assert_allclose(h[1], h[2], atol=1e-12)
 
 
 def test_permutation_equivariance():
     g = generate_synthetic(GeneratorConfig("random-dag", 9, seed=7))
     params = tiny_params(num_chips=3, seed=2)
-    P = policy_forward(embed_graph(g, params), params)
+    P = distribution(g, params)
 
     perm = np.random.default_rng(3).permutation(9)
     inv = np.empty(9, dtype=np.int64)
@@ -85,7 +97,7 @@ def test_permutation_equivariance():
         param_bytes=[int(g.param_bytes[perm[i]]) for i in range(9)],
         ops=[g.nodes[perm[i]].op_kind for i in range(9)],
     )
-    P2 = policy_forward(embed_graph(relabeled, params), params)
+    P2 = distribution(relabeled, params)
     np.testing.assert_allclose(P2, P[perm], atol=1e-10)
 
 
@@ -142,8 +154,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(loaded.opt_m[k], params.opt_m[k])
 
     g = generate_synthetic(GeneratorConfig("layered", 8, seed=2))
-    before = policy_forward(embed_graph(g, params), params)
-    after = policy_forward(embed_graph(g, loaded), loaded)
+    before = distribution(g, params)
+    after = distribution(g, loaded)
     assert np.array_equal(before, after)
 
 
@@ -162,11 +174,23 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_cut_anywhere_rejected(tmp_path):
+    params = tiny_params(num_chips=2, seed=9)
+    whole = tmp_path / "whole.ckpt"
+    save_checkpoint(whole, params)
+    data = whole.read_bytes()
+    hlen = int.from_bytes(data[8:16], "little")
+    cut = tmp_path / "cut.ckpt"
+    # after the magic, inside the length, inside the header, inside the payload
+    for end in (8, 12, 16 + hlen // 2, 16 + hlen + 100, len(data) - 1):
+        cut.write_bytes(data[:end])
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(cut)
+
+
 def test_feature_dim_mismatch_raises():
     g = generate_synthetic(GeneratorConfig("chain", 4, seed=1))
     params = tiny_params(num_chips=2)
     feats3 = GraphFeatures(g, ModelConfig.tiny(num_chips=3))
-    from mcmpart.policy import forward_policy
-
     with pytest.raises(DimensionMismatchError):
         forward_policy(params, feats3, feats3.features(None))

@@ -255,6 +255,25 @@ def test_sample_step_budget(chain4, topo2):
         solve_sample(chain4, topo2, uniform_distribution(4, 2), np.random.default_rng(0), step_budget=0)
 
 
+@pytest.mark.parametrize("step_budget", [0, 3])  # below the node count: no attempt can finish
+@pytest.mark.parametrize(
+    "solve, target, verb",
+    [(solve_sample, uniform_distribution(4, 2), "sampling"), (solve_fix, np.array([0, 0, 1, 1]), "repairing")],
+)
+def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, verb, step_budget):
+    built = []
+    init = ConstraintSolver.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ConstraintSolver, "__init__", counting_init)
+    with pytest.raises(StepBudgetError, match=f"in each of 5 attempts while {verb}"):
+        solve(chain4, topo2, target, np.random.default_rng(0), step_budget=step_budget, max_restarts=5)
+    assert len(built) == 5
+
+
 def test_sample_explicit_order_validated(chain4, topo2):
     with pytest.raises(InvalidConfigError):
         solve_sample(chain4, topo2, uniform_distribution(4, 2), np.random.default_rng(0), order=[0, 0, 1, 2])
