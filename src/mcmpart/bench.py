@@ -49,7 +49,7 @@ def run_strategy(
         from .pipeline import fine_tune, zero_shot
 
         if name == "zeroshot":
-            return zero_shot(checkpoint, g, topo, evaluator, budget.max_samples, seed=budget.seed)
+            return zero_shot(checkpoint, g, topo, evaluator, budget.max_samples, seed=budget.seed, cfg=ppo)
         _, trace = fine_tune(checkpoint, g, topo, evaluator, budget, ppo or PpoConfig())
         return trace
     raise InvalidConfigError(f"unknown strategy {name!r}; choose from {STRATEGIES}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidConfigError, McmPartError
+from .errors import GraphFormatError, InvalidConfigError, McmPartError
 from .evaluator import SurrogateConfig, make_analytical, make_surrogate
 from .generate import FAMILIES, GeneratorConfig, generate_synthetic
 from .graph import ChipTopology, load_graph_file, graph_to_json
@@ -35,15 +35,19 @@ ENV_PREFIX = "MCMPART_"
 
 def _load_config_file(path) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -61,15 +65,22 @@ class Settings:
             return v
         env = os.environ.get(ENV_PREFIX + attr.upper())
         if env is not None:
-            return cast(env)
+            return _cast(cast, name, env, f"environment variable {ENV_PREFIX}{attr.upper()}")
         if name in self.config:
-            return cast(self.config[name])
+            return _cast(cast, name, self.config[name], f"config file {self.args.config}")
         return default
 
     def provenance(self, command: str, seed) -> dict | None:
         if not self.config:
             return None
         return {"command": command, "seed": seed, "config": dict(sorted(self.config.items()))}
+
+
+def _cast(cast, name: str, value: str, source: str):
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise InvalidConfigError(f"{name}={value!r} from {source} is not a valid {cast.__name__}") from exc
 
 
 def _provenance_lines(prov) -> list[str]:
@@ -122,7 +133,7 @@ def _evaluator(settings):
     if kind == "surrogate":
         cfg_path = settings.get("surrogate-config", None)
         if cfg_path:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
+            with open(cfg_path, "rb") as fh:
                 cfg = SurrogateConfig.from_json(fh.read())
         else:
             cfg = SurrogateConfig(
@@ -194,7 +205,7 @@ def cmd_partition(args) -> int:
         part = solve_sample(g, topo, uniform_distribution(g.num_nodes, topo.num_chips), rng)
     else:
         if args.candidate:
-            with open(args.candidate, "r", encoding="utf-8") as fh:
+            with open(args.candidate, "rb") as fh:
                 y = Partition.from_json(fh.read()).assignment
         else:
             y = rng.integers(0, topo.num_chips, size=g.num_nodes)
@@ -208,7 +219,7 @@ def cmd_eval(args) -> int:
     settings = Settings(args)
     g = load_graph_file(args.graph)
     topo = _topology(settings)
-    with open(args.partition, "r", encoding="utf-8") as fh:
+    with open(args.partition, "rb") as fh:
         part = Partition.from_json(fh.read())
     evaluator = _evaluator(settings)
     result = evaluator(g, topo, part)
@@ -323,7 +334,8 @@ def cmd_zeroshot(args) -> int:
     topo = _topology(settings)
     evaluator = _evaluator(settings)
     params, _ = load_checkpoint(args.checkpoint)
-    trace = pipeline_mod.zero_shot(params, g, topo, evaluator, samples=args.samples, seed=args.seed)
+    ppo, _ = _ppo(settings, topo.num_chips)
+    trace = pipeline_mod.zero_shot(params, g, topo, evaluator, samples=args.samples, seed=args.seed, cfg=ppo)
     _write_csv(args.out, "sample,throughput,best,valid", trace.rows(), settings.provenance("zeroshot", args.seed))
     return 0
 

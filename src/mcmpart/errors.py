@@ -12,7 +12,7 @@ class McmPartError(Exception):
 
 
 class GraphFormatError(McmPartError):
-    """Input document is not a well-formed graph description."""
+    """Input document does not decode: a graph, partition, manifest or config file."""
 
     code = "parse-error"
 

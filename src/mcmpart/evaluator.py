@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import GraphFormatError, InvalidConfigError
 from .graph import ChipTopology, ComputationGraph
 from .kernels import chip_latency, chip_memory
 from .solver import check_static, _checked_assignment
@@ -70,9 +70,18 @@ class SurrogateConfig:
             raise InvalidConfigError("memory_headroom must lie in (0, 1]")
 
     @classmethod
-    def from_json(cls, text: str) -> "SurrogateConfig":
-        doc = json.loads(text)
-        return cls(**{k: doc[k] for k in ("noise_scale", "extra_failure_rate", "memory_headroom", "seed") if k in doc})
+    def from_json(cls, text) -> "SurrogateConfig":
+        """Parse the knobs from a JSON object (str or bytes); absent knobs keep their defaults."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise GraphFormatError(f"surrogate config is not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise GraphFormatError("surrogate config must be a JSON object")
+        knobs = {k: doc[k] for k in ("noise_scale", "extra_failure_rate", "memory_headroom", "seed") if k in doc}
+        if any(type(v) not in (int, float) for v in knobs.values()) or type(knobs.get("seed", 0)) is not int:
+            raise GraphFormatError("surrogate knobs must be numbers and the seed an integer")
+        return cls(**knobs)
 
 
 def memory_check(g: ComputationGraph, topo: ChipTopology, p, headroom: float = 1.0):

@@ -150,15 +150,10 @@ def topological_order(g: ComputationGraph) -> np.ndarray:
 
 def load_graph(source: Union[bytes, str, IO]) -> ComputationGraph:
     """Parse the graph JSON document (bytes, str, or file-like)."""
-    if isinstance(source, (bytes, str)):
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+    text = source if isinstance(source, (bytes, str)) else source.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise GraphFormatError("document must be an object with 'nodes' and 'edges'")

@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidConfigError, StepBudgetError
+from .errors import GraphFormatError, InfeasibleError, InvalidConfigError, StepBudgetError
 from .evaluator import Evaluator
 from .graph import ChipTopology, ComputationGraph, load_graph_file, save_graph
 from .policy import GraphFeatures, ModelConfig, PolicyParams, init_params, load_checkpoint, save_checkpoint
 from .search import SearchBudget, SearchTrace, _baseline_throughput
-from .training import PpoConfig, ppo_update, rollout, train
+from .training import PpoConfig, ppo_update, rollout, step_logp, train
 
 log = logging.getLogger(__name__)
 
@@ -77,12 +77,21 @@ def save_manifest(path, corpus: Corpus, graph_dir) -> None:
 
 def load_manifest(path) -> Corpus:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:
+        raise GraphFormatError(f"corpus manifest {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or type(doc.get("split_seed", 0)) is not int:
+        raise GraphFormatError(f"corpus manifest {path} must be a JSON object with an integer split_seed")
     base = path.parent
 
     def load_split(names):
-        return [(Path(f).stem, load_graph_file(base / f)) for f in doc.get(names, [])]
+        files = doc.get(names, [])
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise GraphFormatError(f"corpus manifest {path}: {names!r} must be a list of file names")
+        return [(Path(f).stem, load_graph_file(base / f)) for f in files]
 
     return Corpus(
         train=load_split("train"),
@@ -143,9 +152,13 @@ def pretrain(
             feats[name] = GraphFeatures(g, model_config)
             baselines[name] = _baseline_throughput(g, topo, evaluator)
         batch_size = min(cfg.num_rollouts, total_samples - samples)
+        first = step_logp(params, feats[name])
         try:
             batch = [
-                rollout(g, topo, params, cfg, rng, evaluator, feats=feats[name], baseline=baselines[name])
+                rollout(
+                    g, topo, params, cfg, rng, evaluator,
+                    feats=feats[name], baseline=baselines[name], first_logp=first,
+                )
                 for _ in range(batch_size)
             ]
         except (InfeasibleError, StepBudgetError) as exc:
@@ -172,15 +185,20 @@ def zero_shot(
     evaluator: Evaluator,
     samples: int,
     seed: int = 0,
+    cfg: Optional[PpoConfig] = None,
 ) -> SearchTrace:
-    """Inference-only rollouts with frozen parameters; no updates."""
+    """Inference-only rollouts with frozen parameters; no updates.
+
+    ``cfg`` supplies the refinement steps and the solver mode.
+    """
     rng = np.random.default_rng(seed)
-    cfg = PpoConfig()
+    cfg = cfg or PpoConfig()
     feats = GraphFeatures(g, params.config)
     baseline = _baseline_throughput(g, topo, evaluator)
     trace = SearchTrace()
+    first = step_logp(params, feats)
     for _ in range(samples):
-        ro = rollout(g, topo, params, cfg, rng, evaluator, feats=feats, baseline=baseline)
+        ro = rollout(g, topo, params, cfg, rng, evaluator, feats=feats, baseline=baseline, first_logp=first)
         trace.record(ro, ro.partition)
     return trace
 
@@ -228,7 +246,8 @@ def validate(
         ft_scores = []
         for k, (name, g) in enumerate(validation):
             base = _baseline_throughput(g, topo, evaluator)
-            tr = zero_shot(params, g, topo, evaluator, zeroshot_samples, seed=_mix(seed, rec.sample_count, k, 0))
+            zs_seed = _mix(seed, rec.sample_count, k, 0)
+            tr = zero_shot(params, g, topo, evaluator, zeroshot_samples, seed=zs_seed, cfg=cfg)
             zs_scores.append(tr.best_throughput / base if base > 0 else 0.0)
             rng = np.random.default_rng(_mix(seed, rec.sample_count, k, 1))
             _, ftr = fine_tune(params, g, topo, evaluator, SearchBudget(max_samples=finetune_budget), cfg, rng=rng)

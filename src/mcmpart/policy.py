@@ -63,12 +63,6 @@ class PolicyParams:
         out.opt_t = self.opt_t
         return out
 
-    def weight_hash(self) -> int:
-        acc = 0
-        for k in sorted(self.weights):
-            acc = hash((acc, k, self.weights[k].tobytes())) & 0xFFFFFFFFFFFF
-        return acc
-
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> PolicyParams:
     """Glorot-uniform weights, zero biases."""
@@ -200,12 +194,13 @@ def backward_policy(params: PolicyParams, feats: GraphFeatures, cache, dlogits: 
         grads["val_b1"] += dav1
         dh = dh + (w["val_W1"] @ dav1)[None, :] / max(len(h), 1)
 
-    d = cfg.hidden_dim
     for l in range(cfg.num_layers - 1, -1, -1):
         z, h_new = layer_cache[l]
         da = dh * (1.0 - h_new * h_new)
         grads[f"sage{l}_W"] += z.T @ da
         grads[f"sage{l}_b"] += da.sum(axis=0)
+        if l == 0:
+            break  # the input features need no gradient
         dz = da @ w[f"sage{l}_W"].T
         d_in = z.shape[1] // 3
         dh = dz[:, :d_in] + feats.a_in.T @ dz[:, d_in : 2 * d_in] + feats.a_out.T @ dz[:, 2 * d_in :]

@@ -63,11 +63,16 @@ class Partition:
         return json.dumps(doc, separators=(",", ":")) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "Partition":
+    def from_json(cls, text) -> "Partition":
+        """Parse a partition document (str or bytes); chip ids must be JSON integers."""
         try:
             doc = json.loads(text)
-            assignment = np.asarray(doc["assignment"], dtype=np.int64)
-        except (ValueError, KeyError, TypeError) as exc:
+            raw = doc["assignment"]
+            # bool is an int subclass, and a fraction must not be truncated to a chip
+            if not isinstance(raw, list) or not all(type(v) is int for v in raw):
+                raise ValueError("assignment must be a list of integer chip ids")
+            assignment = np.asarray(raw, dtype=np.int64)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise GraphFormatError(f"malformed partition document: {exc}") from exc
         return cls(assignment=assignment, source=doc.get("source", "sampled"), valid=bool(doc.get("valid", True)))
 

@@ -65,6 +65,12 @@ class Rollout:
     throughput: float = 0.0  # the evaluator's score of the partition; 0 unless valid
 
 
+def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-node chip log-probs of one refinement step given the previous step's actions."""
+    logits, _, _ = forward_policy(params, feats, feats.features(prev))
+    return log_softmax(logits)
+
+
 def rollout(
     g: ComputationGraph,
     topo: ChipTopology,
@@ -75,8 +81,14 @@ def rollout(
     feats: Optional[GraphFeatures] = None,
     baseline: Optional[float] = None,
     use_solver: bool = True,
+    first_logp: Optional[np.ndarray] = None,
 ) -> Rollout:
-    """One sample: refine, repair through the solver, evaluate, score."""
+    """One sample: refine, repair through the solver, evaluate, score.
+
+    Step 0 sees the same features for every rollout, so a caller drawing
+    several rollouts with the same parameters can pass ``step_logp(params,
+    feats)`` once as ``first_logp``; the draws are unchanged.
+    """
     if topo.num_chips != params.config.num_chips:
         raise InvalidConfigError(
             f"model built for {params.config.num_chips} chips, topology has {topo.num_chips}"
@@ -91,9 +103,7 @@ def rollout(
     prev = None
     P = None
     for t in range(t_steps):
-        x = feats.features(prev)
-        logits, _, _ = forward_policy(params, feats, x)
-        lp = log_softmax(logits)
+        lp = first_logp if t == 0 and first_logp is not None else step_logp(params, feats, prev)
         P = np.exp(lp)
         y = sample_rows(P, rng)
         actions[t] = y
@@ -118,6 +128,27 @@ def rollout(
     return Rollout(actions, old_logp, reward, part, valid=bool(result.valid), throughput=result.throughput)
 
 
+def _clipped_step(lp: np.ndarray, y: np.ndarray, old_lp: np.ndarray, adv: float, inv_m: float, cfg: PpoConfig):
+    """Surrogate and entropy sums of one refinement step, and the loss gradient w.r.t. its logits."""
+    eps = cfg.clip_epsilon
+    p = np.exp(lp)
+    rows = np.arange(len(y))
+    ratio = np.exp(lp[rows, y] - old_lp)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+    surrogate = np.minimum(unclipped, clipped)
+    ent = -(p * lp).sum(axis=1)
+
+    use_unclipped = unclipped <= clipped
+    inside = (ratio > 1.0 - eps) & (ratio < 1.0 + eps)
+    dsdr = adv * np.where(use_unclipped, 1.0, inside.astype(np.float64))
+    grad_lp = -inv_m * dsdr * ratio
+    dlogits = grad_lp[:, None] * (-p)
+    dlogits[rows, y] += grad_lp
+    dlogits += inv_m * cfg.entropy_bonus * p * (lp + ent[:, None])
+    return surrogate.sum(), ent.sum(), dlogits
+
+
 def ppo_loss_and_grads(
     params: PolicyParams,
     rollouts: list[Rollout],
@@ -130,55 +161,43 @@ def ppo_loss_and_grads(
 
     Returns (loss, grads, stats); grads cover every weight array.  The
     replayed forwards condition on the stored actions, so the computation
-    matches the rollout exactly.
+    matches the rollout exactly.  Step 0 has the same input in every
+    rollout, so it runs one forward and one backward for the whole
+    minibatch, with the rollouts' step-0 gradients summed.
     """
-    w = params.weights
-    grads = {k: np.zeros_like(v) for k, v in w.items()}
+    grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
     if n_elems == 0:
         return 0.0, grads, {"surrogate": 0.0, "entropy": 0.0, "value": 0.0}
     inv_m = 1.0 / n_elems
-    eps = cfg.clip_epsilon
-    use_value = params.config.use_value_head
     loss_sur = 0.0
     loss_ent = 0.0
     loss_val = 0.0
 
+    logits, value, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
+    lp0 = log_softmax(logits)
+    dlogits0 = np.zeros_like(lp0)
+    dvalue0 = 0.0
     for ridx, ro in enumerate(rollouts):
-        adv = float(advantages[ridx])
-        t_steps, n = ro.actions.shape
-        prev = None
-        for t in range(t_steps):
-            x = feats.features(prev)
-            logits, value, cache = forward_policy(params, feats, x, need_cache=True)
+        sur, ent, dlogits = _clipped_step(lp0, ro.actions[0], ro.old_logp[0], float(advantages[ridx]), inv_m, cfg)
+        loss_sur -= inv_m * sur
+        loss_ent -= inv_m * cfg.entropy_bonus * ent
+        dlogits0 += dlogits
+        if params.config.use_value_head:
+            err = value - float(rewards[ridx])
+            loss_val += cfg.value_coeff * err * err / len(rollouts)
+            dvalue0 += 2.0 * cfg.value_coeff * err / len(rollouts)
+    backward_policy(params, feats, cache, dlogits0, dvalue0, grads)
+
+    for ridx, ro in enumerate(rollouts):
+        for t in range(1, ro.actions.shape[0]):
+            x = feats.features(ro.actions[t - 1])
+            logits, _, cache = forward_policy(params, feats, x, need_cache=True)
             lp = log_softmax(logits)
-            p = np.exp(lp)
-            y = ro.actions[t]
-            rows = np.arange(n)
-            new_lp = lp[rows, y]
-            ratio = np.exp(new_lp - ro.old_logp[t])
-            unclipped = ratio * adv
-            clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
-            surrogate = np.minimum(unclipped, clipped)
-            ent = -(p * lp).sum(axis=1)
-            loss_sur -= inv_m * surrogate.sum()
-            loss_ent -= inv_m * cfg.entropy_bonus * ent.sum()
-
-            use_unclipped = unclipped <= clipped
-            inside = (ratio > 1.0 - eps) & (ratio < 1.0 + eps)
-            dsdr = adv * np.where(use_unclipped, 1.0, inside.astype(np.float64))
-            grad_lp = -inv_m * dsdr * ratio
-            dlogits = grad_lp[:, None] * (-p)
-            dlogits[rows, y] += grad_lp
-            dlogits += inv_m * cfg.entropy_bonus * p * (lp + ent[:, None])
-
-            dvalue = 0.0
-            if use_value and t == 0:
-                err = value - float(rewards[ridx])
-                loss_val += cfg.value_coeff * err * err / len(rollouts)
-                dvalue = 2.0 * cfg.value_coeff * err / len(rollouts)
-            backward_policy(params, feats, cache, dlogits, dvalue, grads)
-            prev = y
+            sur, ent, dlogits = _clipped_step(lp, ro.actions[t], ro.old_logp[t], float(advantages[ridx]), inv_m, cfg)
+            loss_sur -= inv_m * sur
+            loss_ent -= inv_m * cfg.entropy_bonus * ent
+            backward_policy(params, feats, cache, dlogits, 0.0, grads)
     loss = loss_sur + loss_ent + loss_val
     stats = {"surrogate": loss_sur, "entropy": loss_ent, "value": loss_val}
     return loss, grads, stats
@@ -265,9 +284,13 @@ def train(
     samples = 0
     while samples < budget.max_samples:
         batch_size = min(cfg.num_rollouts, budget.max_samples - samples)
+        first = step_logp(params, feats)
         batch = []
         for _ in range(batch_size):
-            ro = rollout(g, topo, params, cfg, rng, evaluator, feats=feats, baseline=baseline, use_solver=use_solver)
+            ro = rollout(
+                g, topo, params, cfg, rng, evaluator,
+                feats=feats, baseline=baseline, use_solver=use_solver, first_logp=first,
+            )
             batch.append(ro)
             trace.record(ro, ro.partition)
         samples += batch_size

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import mcmpart.training
 from mcmpart.cli import main
-from mcmpart.policy import CHECKPOINT_MAGIC
+from mcmpart.policy import CHECKPOINT_MAGIC, ModelConfig, init_params, save_checkpoint
 from mcmpart.solver import Partition
 
 
@@ -94,6 +95,91 @@ def test_nan_cost_graph_is_a_parse_error(tmp_path, capsys):
     p.write_text(Partition(np.array([0, 1]), source="sampled").to_json())
     assert run(["eval", "--graph", g, "--partition", p, "--chips", 2]) == 1
     _one_line_error(capsys, "parse-error")
+
+
+@pytest.mark.parametrize("assignment", [[0.9, 1.7, 1, 1], [False, True, True, True], [0, "1", 1, 1], [0, 0, 0, 1.0]])
+def test_eval_non_integer_chip_id_is_a_parse_error(tmp_path, capsys, assignment):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", g])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"assignment": assignment}))
+    assert run(["eval", "--graph", g, "--partition", bad, "--chips", 2]) == 1
+    _one_line_error(capsys, "parse-error")
+
+
+@pytest.mark.parametrize("text", ["noise_scale: 0.1\n", "[0.1]", '{"noise_scale": "abc"}', '{"seed": 1.5}'])
+def test_malformed_surrogate_config_is_a_parse_error(tmp_path, capsys, text):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])
+    p = tmp_path / "p.json"
+    p.write_text(Partition(np.array([0, 1]), source="sampled").to_json())
+    cfg = tmp_path / "surrogate.json"
+    cfg.write_text(text)
+    assert run(["eval", "--graph", g, "--partition", p, "--chips", 2, "--evaluator", "surrogate",
+                "--surrogate-config", cfg]) == 1
+    _one_line_error(capsys, "parse-error")
+
+
+@pytest.mark.parametrize("text", ["train: [g0.json]\n", '{"train": [5]}', '{"train": "g0.json"}',
+                                  '{"split_seed": "abc"}'])
+def test_malformed_corpus_manifest_is_a_parse_error(tmp_path, capsys, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    assert run(["pretrain", "--corpus", manifest, "--chips", 2, "--samples", 10,
+                "--checkpoint-out", tmp_path / "ck"]) == 1
+    _one_line_error(capsys, "parse-error")
+
+
+def test_non_utf8_config_file_is_a_parse_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"chips=\xff\xfe2\n")
+    assert run(["partition", "--graph", g, "--config", cfg, "--seed", 1, "--out", tmp_path / "p.json"]) == 1
+    _one_line_error(capsys, "parse-error")
+
+
+@pytest.mark.parametrize("which", ["graph", "partition"])
+def test_non_utf8_input_document_is_a_parse_error(tmp_path, capsys, which):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])
+    p = tmp_path / "p.json"
+    p.write_text(Partition(np.array([0, 1]), source="sampled").to_json())
+    (g if which == "graph" else p).write_bytes(b'{"assignment": [0, 1], "x": "\xff"}')
+    assert run(["eval", "--graph", g, "--partition", p, "--chips", 2]) == 1
+    _one_line_error(capsys, "parse-error")
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+def test_bad_setting_cast_is_a_config_error(tmp_path, capsys, monkeypatch, source):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])
+    argv = ["partition", "--graph", g, "--seed", 1, "--out", tmp_path / "p.json"]
+    if source == "env":
+        monkeypatch.setenv("MCMPART_CHIPS", "abc")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("chips=abc\n")
+        argv += ["--config", cfg]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: chips='abc' from ") and err.count("\n") == 1, err
+    assert ("MCMPART_CHIPS" in err) if source == "env" else ("run.cfg" in err)
+
+
+def test_zeroshot_command_honours_solver_mode(tmp_path, monkeypatch):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "layered", "--nodes", 8, "--seed", 4, "--out", g])
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(ckpt, init_params(ModelConfig.tiny(2), np.random.default_rng(0)))
+
+    def no_repair(*args, **kw):
+        raise AssertionError("sample mode must not repair candidates")
+
+    monkeypatch.setattr(mcmpart.training, "solve_fix", no_repair)
+    monkeypatch.setenv("MCMPART_SOLVER_MODE", "sample")
+    assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 4,
+                "--seed", 2, "--out", tmp_path / "zs.csv"]) == 0
 
 
 def test_unknown_flag_exits_2(tmp_path):

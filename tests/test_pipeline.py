@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mcmpart.training
 from mcmpart import ChipTopology, GeneratorConfig, analytical_eval, generate_synthetic
 from mcmpart.errors import InvalidConfigError
 from mcmpart.evaluator import make_analytical
@@ -112,10 +113,44 @@ def test_zero_shot_does_not_mutate_params():
     g = generate_synthetic(GeneratorConfig("layered", 7, seed=3))
     topo = ChipTopology(num_chips=2)
     params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
-    before = params.weight_hash()
+    before = params.copy()
     trace = zero_shot(params, g, topo, make_analytical(), samples=25, seed=1)
-    assert params.weight_hash() == before
+    for k, v in before.weights.items():
+        assert np.array_equal(params.weights[k], v)
     assert trace.num_samples == 25
+
+
+def _count_solver_calls(monkeypatch):
+    calls = {"solve_sample": 0, "solve_fix": 0}
+    for name in calls:
+        fn = getattr(mcmpart.training, name)
+
+        def wrapped(*args, _name=name, _fn=fn, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(mcmpart.training, name, wrapped)
+    return calls
+
+
+def test_zero_shot_honours_solver_mode(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    g = generate_synthetic(GeneratorConfig("layered", 7, seed=3))
+    params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
+    trace = zero_shot(params, g, ChipTopology(num_chips=2), make_analytical(), samples=6, seed=1,
+                      cfg=PpoConfig(solver_mode="sample"))
+    assert trace.num_samples == 6
+    assert calls == {"solve_sample": 6, "solve_fix": 0}
+
+
+def test_validate_scores_zero_shot_with_its_config(monkeypatch, tmp_path):
+    calls = _count_solver_calls(monkeypatch)
+    p = tmp_path / "10.ckpt"
+    save_checkpoint(p, init_params(ModelConfig.tiny(2), np.random.default_rng(0)))
+    g = generate_synthetic(GeneratorConfig("chain", 5, seed=1))
+    validate([CheckpointRecord(10, str(p))], [("v", g)], ChipTopology(num_chips=2), make_analytical(),
+             finetune_budget=10, zeroshot_samples=5, cfg=fast_cfg(solver_mode="sample"))
+    assert calls == {"solve_sample": 15, "solve_fix": 0}
 
 
 def test_zero_shot_zero_samples_empty_trace():
@@ -149,9 +184,10 @@ def test_fine_tune_leaves_checkpoint_params_untouched():
     g = generate_synthetic(GeneratorConfig("layered", 7, seed=5))
     topo = ChipTopology(num_chips=2)
     params = init_params(ModelConfig.tiny(2), np.random.default_rng(3))
-    before = params.weight_hash()
+    before = params.copy()
     fine_tune(params, g, topo, make_analytical(), SearchBudget(max_samples=30, seed=0), fast_cfg())
-    assert params.weight_hash() == before
+    for k, v in before.weights.items():
+        assert np.array_equal(params.weights[k], v)
 
 
 # ---- validate --------------------------------------------------------------

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import mcmpart.pipeline
+import mcmpart.training
 from mcmpart import ChipTopology, GeneratorConfig, analytical_eval, enumerate_valid, generate_synthetic
 from mcmpart.evaluator import make_analytical
-from mcmpart.policy import GraphFeatures, ModelConfig, init_params
+from mcmpart.pipeline import Corpus, pretrain, zero_shot
+from mcmpart.policy import GraphFeatures, ModelConfig, backward_policy, forward_policy, init_params, log_softmax
 from mcmpart.search import SearchBudget, greedy_heuristic
 from mcmpart.training import (
     PpoConfig,
@@ -11,6 +14,7 @@ from mcmpart.training import (
     ppo_loss_and_grads,
     ppo_update,
     rollout,
+    step_logp,
     train,
     train_from_scratch,
 )
@@ -80,6 +84,23 @@ def test_rollout_without_solver_keeps_raw_actions():
         assert ro.reward == 0.0
 
 
+@pytest.mark.parametrize("solver_mode", ["fix", "sample"])
+def test_rollout_with_shared_first_step_is_byte_identical(solver_mode):
+    g, topo, params, feats = small_setup(n=12)
+    cfg = PpoConfig(refinement_steps=3, solver_mode=solver_mode)
+    first = step_logp(params, feats)
+    ev = make_analytical()
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(8):
+        a = rollout(g, topo, params, cfg, rng_a, ev, feats=feats)
+        b = rollout(g, topo, params, cfg, rng_b, ev, feats=feats, first_logp=first)
+        assert a.actions.tobytes() == b.actions.tobytes()
+        assert a.old_logp.tobytes() == b.old_logp.tobytes()
+        assert a.partition.assignment.tobytes() == b.partition.assignment.tobytes()
+        assert a.reward == b.reward
+    assert rng_a.random() == rng_b.random()
+
+
 def test_rollout_chip_count_mismatch_rejected():
     g, topo, params, feats = small_setup(num_chips=2)
     from mcmpart.errors import InvalidConfigError
@@ -89,6 +110,146 @@ def test_rollout_chip_count_mismatch_rejected():
 
 
 # ---- loss and update -------------------------------------------------------
+
+
+def reference_ppo_loss_and_grads(params, rollouts, advantages, rewards, cfg, feats):
+    """The loss written out per rollout and per step: one forward and one
+    backward for every (rollout, step), the value loss at each step 0."""
+    grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
+    inv_m = 1.0 / n_elems
+    eps = cfg.clip_epsilon
+    loss = 0.0
+    for ridx, ro in enumerate(rollouts):
+        adv = float(advantages[ridx])
+        t_steps, n = ro.actions.shape
+        prev = None
+        for t in range(t_steps):
+            logits, value, cache = forward_policy(params, feats, feats.features(prev), need_cache=True)
+            lp = log_softmax(logits)
+            p = np.exp(lp)
+            y = ro.actions[t]
+            rows = np.arange(n)
+            ratio = np.exp(lp[rows, y] - ro.old_logp[t])
+            unclipped = ratio * adv
+            clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+            ent = -(p * lp).sum(axis=1)
+            loss -= inv_m * np.minimum(unclipped, clipped).sum()
+            loss -= inv_m * cfg.entropy_bonus * ent.sum()
+            inside = (ratio > 1.0 - eps) & (ratio < 1.0 + eps)
+            dsdr = adv * np.where(unclipped <= clipped, 1.0, inside.astype(np.float64))
+            grad_lp = -inv_m * dsdr * ratio
+            dlogits = grad_lp[:, None] * (-p)
+            dlogits[rows, y] += grad_lp
+            dlogits += inv_m * cfg.entropy_bonus * p * (lp + ent[:, None])
+            dvalue = 0.0
+            if params.config.use_value_head and t == 0:
+                err = value - float(rewards[ridx])
+                loss += cfg.value_coeff * err * err / len(rollouts)
+                dvalue = 2.0 * cfg.value_coeff * err / len(rollouts)
+            backward_policy(params, feats, cache, dlogits, dvalue, grads)
+            prev = y
+    return loss, grads
+
+
+@pytest.mark.parametrize("use_value_head", [False, True])
+@pytest.mark.parametrize("t_steps", [1, 2, 3])
+def test_shared_first_step_loss_matches_per_rollout_reference(t_steps, use_value_head):
+    g, topo, params, feats = small_setup(seed=1, n=9, use_value_head=use_value_head)
+    cfg = PpoConfig(refinement_steps=t_steps, clip_epsilon=0.05)
+    ros = collect_rollouts(g, topo, params, feats, cfg, seed=4, count=5)
+    rewards = np.array([r.reward for r in ros])
+    adv = rewards - rewards.mean() + np.linspace(-0.3, 0.3, len(ros))
+    rng = np.random.default_rng(2)
+    for k in params.weights:  # move off the rollout's weights so ratios leave the clip band
+        params.weights[k] = params.weights[k] + 0.05 * rng.standard_normal(params.weights[k].shape)
+
+    loss, grads, _ = ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
+    ref_loss, ref_grads = reference_ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
+    assert abs(loss - ref_loss) <= 1e-12
+    assert sorted(grads) == sorted(ref_grads)
+    for k in grads:
+        assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12, k
+    assert any(np.abs(v).max() > 1e-6 for v in grads.values())
+
+
+@pytest.mark.parametrize("use_value_head", [False, True])
+@pytest.mark.parametrize("solver_mode", ["fix", "sample"])
+def test_train_round_weights_match_per_rollout_reference(monkeypatch, solver_mode, use_value_head):
+    g = generate_synthetic(GeneratorConfig("layered", 16, seed=3))
+    topo = ChipTopology(num_chips=2)
+    cfg = PpoConfig(num_rollouts=10, num_minibatches=2, num_epochs=3, solver_mode=solver_mode)
+    model = ModelConfig.tiny(2, use_value_head=use_value_head)
+
+    def run():
+        return train_from_scratch(g, topo, cfg, SearchBudget(max_samples=20), make_analytical(),
+                                  np.random.default_rng(8), model_config=model)
+
+    params, trace = run()
+
+    def reference(params, rollouts, advantages, rewards, cfg, feats):
+        loss, grads = reference_ppo_loss_and_grads(params, rollouts, advantages, rewards, cfg, feats)
+        return loss, grads, {}
+
+    monkeypatch.setattr(mcmpart.training, "ppo_loss_and_grads", reference)
+    ref_params, ref_trace = run()
+    assert trace.throughput == ref_trace.throughput
+    for k in params.weights:
+        assert np.abs(params.weights[k] - ref_params.weights[k]).max() <= 1e-12, k
+
+
+def expected_policy_calls(cfg: PpoConfig) -> tuple[int, int]:
+    """Forwards and backwards of one full rollout batch plus its PPO update
+    (no value head): a shared step 0 per batch and per minibatch, one pass
+    per rollout for each later step."""
+    b, t, e = cfg.num_rollouts, cfg.refinement_steps, cfg.num_epochs
+    m = e * cfg.num_minibatches
+    return 1 + b * (t - 1) + m + e * b * (t - 1), m + e * b * (t - 1)
+
+
+def test_expected_policy_calls_at_the_benchmark_config():
+    assert expected_policy_calls(PpoConfig()) == (261, 240)
+
+
+def counting(calls, name, fn):
+    def wrapped(*args, **kw):
+        calls[name] += 1
+        return fn(*args, **kw)
+    return wrapped
+
+
+@pytest.mark.parametrize("entry", ["train", "pretrain"])
+def test_one_round_policy_call_counts(monkeypatch, tmp_path, entry):
+    # counts go through the module globals that the benchmark wraps
+    calls = {"forward": 0, "backward": 0, "rollout": 0}
+    monkeypatch.setattr(mcmpart.training, "forward_policy", counting(calls, "forward", mcmpart.training.forward_policy))
+    monkeypatch.setattr(mcmpart.training, "backward_policy",
+                        counting(calls, "backward", mcmpart.training.backward_policy))
+    rollout_module = mcmpart.training if entry == "train" else mcmpart.pipeline
+    monkeypatch.setattr(rollout_module, "rollout", counting(calls, "rollout", rollout_module.rollout))
+
+    g = generate_synthetic(GeneratorConfig("layered", 12, seed=2))
+    topo = ChipTopology(num_chips=2)
+    cfg = PpoConfig(num_rollouts=6, num_minibatches=3, num_epochs=2, refinement_steps=3)
+    if entry == "train":
+        train_from_scratch(g, topo, cfg, SearchBudget(max_samples=6), make_analytical(),
+                           np.random.default_rng(0), model_config=ModelConfig.tiny(2))
+    else:
+        corpus = Corpus(train=[("g", g)], validation=[], test=[])
+        pretrain(corpus, topo, cfg, make_analytical(), total_samples=6, checkpoint_every=6,
+                 out_dir=tmp_path, model_config=ModelConfig.tiny(2))
+    assert calls["rollout"] == cfg.num_rollouts
+    assert (calls["forward"], calls["backward"]) == expected_policy_calls(cfg)
+
+
+def test_zero_shot_runs_step_zero_once(monkeypatch):
+    calls = {"forward": 0}
+    monkeypatch.setattr(mcmpart.training, "forward_policy", counting(calls, "forward", mcmpart.training.forward_policy))
+    g = generate_synthetic(GeneratorConfig("layered", 10, seed=1))
+    params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
+    cfg = PpoConfig(refinement_steps=3)
+    zero_shot(params, g, ChipTopology(num_chips=2), make_analytical(), samples=7, cfg=cfg)
+    assert calls["forward"] == 1 + 7 * (cfg.refinement_steps - 1)
 
 
 def test_gradients_match_finite_differences():
