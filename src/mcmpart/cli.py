@@ -423,18 +423,33 @@ def cmd_bench(args) -> int:
 
 
 def _read_trace_best(path) -> list[float]:
+    """The ``best`` column of a search trace CSV; any malformed row is a parse error."""
     best = []
+    header = None
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            parts = line.split(",")
-            best.append(float(parts[header.index("best")]))
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"trace {path} is not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if header is None:
+            if "best" not in parts:
+                raise GraphFormatError(f"{path}:{lineno}: trace header has no best column")
+            header, col = parts, parts.index("best")
+            continue
+        if len(parts) != len(header):
+            raise GraphFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+        try:
+            value = float(parts[col])
+            if not np.isfinite(value):
+                raise ValueError
+        except ValueError:
+            raise GraphFormatError(f"{path}:{lineno}: best value {parts[col]!r} is not a finite number") from None
+        best.append(value)
     return best
 
 

@@ -118,7 +118,8 @@ class ConstraintSolver:
         # nodes, so no node can sit above chip n-1.
         init_mask = (1 << min(c, max(n, 1))) - 1
         self._dom = np.full(n, init_mask, dtype=np.int64)
-        self._trail: list[tuple[int, int, np.ndarray]] = []
+        self._chip_edges = [0] * (3 * c)  # committed chip edges and look-ahead tables, kept by propagate
+        self._trail: list[tuple[int, int, np.ndarray, list]] = []
         if n and g.num_edges:
             status = self._propagate()
             if status != 0:  # full domains never wipe; defensive only
@@ -152,31 +153,31 @@ class ConstraintSolver:
             )
         if new == 0:
             return self._backtrack()
-        snapshot = self._dom.copy()
         value = _lowest_bit(new) if new & (new - 1) == 0 and singleton else -1
-        self._trail.append((u, value, snapshot))
+        self._trail.append((u, value, self._dom.copy(), self._chip_edges.copy()))
         if new != cur:
             self._dom[u] = new
-            status = self._propagate()
+            status = self._propagate((u,))
             if status != 0:
                 return self._backtrack()
         return len(self._trail)
 
-    def _propagate(self) -> int:
+    def _propagate(self, seeds=None) -> int:
         g = self.graph
-        return propagate(self._dom, g.topo_nodes, g.preds, g.succs, self.topo.num_chips)
+        return propagate(self._dom, g.topo_nodes, g.preds, g.succs, self.topo.num_chips, seeds, self._chip_edges)
 
     def _backtrack(self) -> int:
         while self._trail:
-            node, value, snapshot = self._trail.pop()
-            np.copyto(self._dom, snapshot)
+            node, value, dom, chip_edges = self._trail.pop()
+            np.copyto(self._dom, dom)
+            self._chip_edges = chip_edges
             if value < 0:
                 continue  # re-asserted domain: nothing to retry here
             remaining = int(self._dom[node]) & ~(1 << value)
             if remaining == 0:
                 continue
             self._dom[node] = remaining
-            status = self._propagate()
+            status = self._propagate((node,))
             if status == 0:
                 return len(self._trail)
         raise InfeasibleError("backtracking exhausted the root domain")
@@ -196,7 +197,7 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _sample_from_mask(probs: np.ndarray, mask: int, rng: np.random.Generator) -> int:
+def _sample_from_mask(probs: list, mask: int, rng: np.random.Generator) -> int:
     """Draw a chip from ``probs`` renormalized over the domain ``mask``.
 
     Falls back to uniform over the domain when the distribution places no
@@ -205,23 +206,32 @@ def _sample_from_mask(probs: np.ndarray, mask: int, rng: np.random.Generator) ->
     allowed = mask_to_values(mask)
     if len(allowed) == 1:
         return allowed[0]
-    weights = np.array([probs[v] for v in allowed], dtype=np.float64)
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    weights = [probs[v] for v in allowed]
+    total = sum(weights)
+    if not 0.0 < total < float("inf"):
         return allowed[rng.integers(0, len(allowed))]
-    cum = np.cumsum(weights / total)
-    r = rng.random()
-    idx = int(np.searchsorted(cum, r, side="right"))
-    return allowed[min(idx, len(allowed) - 1)]
+    r = rng.random() * total
+    for v, w in zip(allowed, weights):
+        r -= w
+        if r < 0.0:
+            return v
+    return allowed[-1]
 
 
-def _default_order(n: int, order, rng: np.random.Generator) -> np.ndarray:
-    if order is None:
-        return rng.permutation(n).astype(np.int64)
-    order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(n)):
-        raise InvalidConfigError("node order must be a permutation of 0..N-1")
-    return order
+def _fail_first(dom: np.ndarray, perm: list) -> int:
+    """The undecided node with the fewest live chips, earliest in ``perm``
+    among equals; -1 once every domain is a singleton."""
+    d = dom.tolist()
+    best, fewest = -1, 64  # more chips than an int64 domain holds
+    for u in perm:
+        x = d[u]
+        if x & (x - 1):
+            k = x.bit_count()
+            if k < fewest:
+                best, fewest = u, k
+                if k == 2:
+                    break
+    return best
 
 
 def _validate_distribution(P: np.ndarray, n: int, c: int) -> np.ndarray:
@@ -244,25 +254,27 @@ def solve_sample(
     topo: ChipTopology,
     P: np.ndarray,
     rng: np.random.Generator,
-    order=None,
     step_budget: Optional[int] = None,
     max_restarts: int = MAX_RESTARTS,
 ) -> Partition:
     """Build a valid partition by sampling each node's chip from ``P``.
 
-    Nodes are visited in ``order`` (fresh random permutation by default);
-    each node's chip is drawn from its distribution row restricted to the
-    live domain.  Backtracking re-visits nodes whose decisions were undone.
-    An attempt that exhausts its decision budget restarts with a fresh
-    random order; chronological backtracking is highly order-sensitive, so
-    a bounded number of restarts tames thrash on dependency-dense graphs.
+    Each decision takes the undecided node with the fewest live chips (fail
+    first), ties broken by a fresh random order per attempt, and draws its
+    chip from its distribution row restricted to the live domain.
+    Backtracking undoes decisions that leave some domain empty, and
+    attempts restart on the schedule of :func:`_restarting_search`.
     """
-    P = _validate_distribution(P, g.num_nodes, topo.num_chips)
+    n = g.num_nodes
+    rows = _validate_distribution(P, n, topo.num_chips).tolist()
+
+    def next_node(solver, perm, i):
+        return _fail_first(solver._dom, perm)
 
     def choose(u, mask, i):
-        return (_sample_from_mask(P[u], mask, rng),)
+        return (_sample_from_mask(rows[u], mask, rng),)
 
-    return _restarting_search(g, topo, rng, order, step_budget, max_restarts, 1, choose, "sampled", "sampling")
+    return _restarting_search(g, topo, rng, step_budget, max_restarts, (n + 1) // 2, next_node, choose, "sampled", "sampling")
 
 
 def solve_fix(
@@ -270,7 +282,6 @@ def solve_fix(
     topo: ChipTopology,
     y,
     rng: np.random.Generator,
-    order=None,
     step_budget: Optional[int] = None,
     max_restarts: int = MAX_RESTARTS,
 ) -> Partition:
@@ -279,11 +290,14 @@ def solve_fix(
     First pass keeps each candidate value that is still in its node's
     domain (others leave the domain untouched); second pass fixes every
     remaining node to a uniformly random value from its domain, traversing
-    the same order.  Budget-exhausted attempts restart with a fresh random
-    order, as in :func:`solve_sample`.
+    the same random order.  Attempts restart with a fresh order on the
+    schedule of :func:`_restarting_search`.
     """
     n = g.num_nodes
     y = _checked_assignment(g, y, topo.num_chips, what="candidate")
+
+    def next_node(solver, perm, i):
+        return perm[i % n] if i < 2 * n else -1
 
     def choose(u, mask, i):
         if i >= n:
@@ -293,35 +307,54 @@ def solve_fix(
             return (int(y[u]),)
         return mask_to_values(mask)  # candidate infeasible here: re-assert the domain and move on
 
-    return _restarting_search(g, topo, rng, order, step_budget, max_restarts, 2, choose, "repaired", "repairing")
+    # a unit of two clean passes, so that an attempt without backtracking always fits
+    return _restarting_search(g, topo, rng, step_budget, max_restarts, 4 * n, next_node, choose, "repaired", "repairing")
 
 
-def _restarting_search(g, topo, rng, order, step_budget, max_restarts, passes, choose, source, verb) -> Partition:
+def _restarting_search(g, topo, rng, step_budget, max_restarts, unit, next_node, choose, source, verb) -> Partition:
     """The restart loop both construction strategies share.
 
-    Each attempt builds a fresh solver and visits the nodes ``passes`` times
-    in one order; ``choose(u, mask, i)`` gives the values node ``u`` is
-    restricted to at decision index ``i``.  An attempt that spends its
-    decision budget restarts with a fresh order.
+    Each attempt builds a fresh solver and draws a fresh random order of the
+    nodes.  ``next_node(solver, perm, i)`` names the node to decide given
+    that order and the live decision count ``i`` (-1 once the assignment is
+    complete), and ``choose(u, mask, i)`` the values node ``u`` is
+    restricted to.  Chronological backtracking has heavy-tailed run times,
+    so attempt k stops after ``unit * luby(k)`` decisions, the universal
+    restart schedule of Luby, Sinclair and Zuckerman (1993).  All attempts
+    share one budget of ``step_budget * max_restarts`` decisions.
     """
     n = g.num_nodes
-    decisions = passes * n
-    budget = STEP_BUDGET_FACTOR * max(n, 1) if step_budget is None else step_budget
-    for _ in range(max(1, max_restarts)):
+    total = (STEP_BUDGET_FACTOR * max(n, 1) if step_budget is None else step_budget) * max(1, max_restarts)
+    spent = 0
+    attempt = 0
+    while True:
+        attempt += 1
+        cap = min(max(unit, 1) * _luby(attempt), total - spent)
         solver = ConstraintSolver(g, topo)
-        attempt_order = _default_order(n, order, rng)
+        perm = rng.permutation(n).tolist()
         steps = 0
         i = 0
-        while i < decisions and steps < budget:
+        while (u := next_node(solver, perm, i)) >= 0:
+            if steps == cap:
+                break
             steps += 1
-            u = int(attempt_order[i % n])
             i = solver.set_domain(u, choose(u, solver.domain_mask(u), i))
-        if i < decisions:
-            continue
-        part = Partition(solver.assignment(), source=source)
-        _assert_valid(g, topo, part)
-        return part
-    raise StepBudgetError(f"exceeded {budget} decisions in each of {max_restarts} attempts while {verb}")
+        else:
+            part = Partition(solver.assignment(), source=source)
+            _assert_valid(g, topo, part)
+            return part
+        spent += steps
+        if spent >= total:
+            raise StepBudgetError(f"spent all {total} decisions in {attempt} attempts while {verb}")
+
+
+def _luby(k: int) -> int:
+    """Term ``k`` (1-based) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while True:
+        m = k.bit_length()
+        if k == (1 << m) - 1:
+            return 1 << (m - 1)
+        k -= (1 << (m - 1)) - 1
 
 
 def _assert_valid(g: ComputationGraph, topo: ChipTopology, part: Partition) -> None:

@@ -230,6 +230,15 @@ def test_search_and_s2t_roundtrip(tmp_path):
     assert rows[2].split(",")[1] == "N.A."
 
 
+@pytest.mark.parametrize("text", ["sample,throughput,best,valid\n1,abc,x,1\n", "sample,throughput,valid\n1,0.5,1\n",
+                                  "sample,throughput,best,valid\n1,0.5,0.5,1\n2,0.5\n"])
+def test_malformed_trace_is_a_parse_error(tmp_path, capsys, text):
+    trace = tmp_path / "t.csv"
+    trace.write_text(text)
+    assert run(["bench", "s2t", "--trace", trace, "--targets", "0.1", "--out", tmp_path / "s2t.csv"]) == 1
+    _one_line_error(capsys, "parse-error")
+
+
 def test_greedy_search_strategy(tmp_path):
     g = tmp_path / "g.json"
     run(["gen", "--family", "chain", "--nodes", 8, "--seed", 1, "--out", g])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mcmpart import ChipTopology, GeneratorConfig, generate_synthetic
+from mcmpart import ChipTopology, GeneratorConfig, generate_synthetic, solve_fix, solve_sample, uniform_distribution
 from mcmpart import kernels as kern
-from mcmpart.errors import InvalidConfigError
+from mcmpart import solver as solver_mod
+from mcmpart.errors import InfeasibleError, InvalidConfigError, StepBudgetError
 from mcmpart.generate import FAMILIES
 
 
@@ -216,6 +217,54 @@ def test_propagate_matches_reference_fixpoint():
         statuses.append(want)
     # both outcomes well represented
     assert 200 < sum(statuses) < 1800
+
+
+def committed_chip_edges(dom, succs, num_chips):
+    """Bit c of entry a: some edge runs from a node on chip a to one on chip c."""
+    out = [0] * num_chips
+    for u, s in enumerate(succs):
+        for v in s:
+            du, dv = int(dom[u]), int(dom[v])
+            if du != dv and du & (du - 1) == 0 and dv & (dv - 1) == 0:
+                out[_dom_min(du)] |= dv
+    return out
+
+
+def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
+    # The solver seeds each call with the node it just narrowed and the chip
+    # edges it keeps on its trail; a full sweep from the same domains must
+    # reach the same status and fixpoint, and the kept chip edges must match
+    # the ones the fixpoint commits.
+    seen = {"seeded": 0, "wipeouts": 0}
+    full_sweep = kern.propagate
+
+    def shadowed(dom, order, preds, succs, num_chips, seeds=None, chip_edges=None):
+        full = dom.copy()
+        want = full_sweep(full, order, preds, succs, num_chips)
+        before = dom.tolist()
+        got = full_sweep(dom, order, preds, succs, num_chips, seeds, chip_edges)
+        assert got == want, (before, seeds)
+        assert dom.tolist() == (full.tolist() if want == 0 else before), (before, seeds)
+        if want == 0 and chip_edges is not None:
+            assert chip_edges[:num_chips] == committed_chip_edges(dom, succs, num_chips), (before, seeds)
+        seen["seeded"] += seeds is not None
+        seen["wipeouts"] += want
+        return got
+
+    monkeypatch.setattr(solver_mod, "propagate", shadowed)
+    for seed in range(80):  # every (family, skip_prob, chip count) pairing once
+        rng = np.random.default_rng(seed)
+        skip = (0.25, 0.9)[seed % 2]
+        g = generate_synthetic(GeneratorConfig(FAMILIES[seed % 5], int(rng.integers(2, 40)), seed=seed, skip_prob=skip))
+        c = 1 + seed % 8
+        topo = ChipTopology(num_chips=c)
+        n = g.num_nodes
+        for solve, target in ((solve_sample, uniform_distribution(n, c)), (solve_fix, rng.integers(0, c, n))):
+            try:
+                solve(g, topo, target, rng, step_budget=2 * n, max_restarts=2)
+            except (StepBudgetError, InfeasibleError):
+                pass
+    assert seen["seeded"] > 2000 and seen["wipeouts"] > 200, seen
 
 
 def test_propagate_leaves_domains_untouched_on_wipeout():

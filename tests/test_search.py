@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import mcmpart.search
+import mcmpart.solver
 from mcmpart import ChipTopology, GeneratorConfig, analytical_eval, check_static, enumerate_valid, generate_synthetic
 from mcmpart.errors import InvalidConfigError
 from mcmpart.evaluator import make_analytical
+from mcmpart.generate import FAMILIES
 from mcmpart.search import (
     SaConfig,
     SearchBudget,
@@ -54,6 +57,22 @@ def test_greedy_always_valid_including_skip_heavy_graphs():
         topo = ChipTopology(num_chips=5)
         p = greedy_heuristic(g, topo)
         assert check_static(g, p, 5).ok
+
+
+@pytest.mark.parametrize("skip_prob", [0.25, 0.9])
+def test_greedy_is_valid_without_the_solver(monkeypatch, skip_prob):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("greedy called the solver")
+
+    for name in ("solve_fix", "solve_sample"):
+        monkeypatch.setattr(mcmpart.search, name, no_solver)
+    monkeypatch.setattr(mcmpart.solver.ConstraintSolver, "__init__", no_solver)
+    for seed, family in enumerate(FAMILIES * 4):
+        g = generate_synthetic(GeneratorConfig(family, 10 + 3 * seed, seed=seed, skip_prob=skip_prob))
+        c = 2 + seed % 7
+        p = greedy_heuristic(g, ChipTopology(num_chips=c))
+        assert p.source == "heuristic"
+        assert check_static(g, p, c).ok
 
 
 def test_greedy_deterministic():

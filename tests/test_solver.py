@@ -16,6 +16,7 @@ from mcmpart import (
     uniform_distribution,
 )
 from mcmpart.errors import InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
+from mcmpart.solver import MAX_RESTARTS, STEP_BUDGET_FACTOR, _luby
 
 from conftest import make_graph
 
@@ -255,28 +256,63 @@ def test_sample_step_budget(chain4, topo2):
         solve_sample(chain4, topo2, uniform_distribution(4, 2), np.random.default_rng(0), step_budget=0)
 
 
-@pytest.mark.parametrize("step_budget", [0, 3])  # below the node count: no attempt can finish
-@pytest.mark.parametrize(
-    "solve, target, verb",
-    [(solve_sample, uniform_distribution(4, 2), "sampling"), (solve_fix, np.array([0, 0, 1, 1]), "repairing")],
-)
-def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, verb, step_budget):
-    built = []
+def _stall_every_decision(monkeypatch):
+    """Make every decision a no-op, so that no attempt can finish; returns
+    the decisions each solver built was asked for, one entry per attempt."""
+    per_attempt = []
     init = ConstraintSolver.__init__
 
     def counting_init(self, *args):
-        built.append(self)
+        per_attempt.append(0)
         init(self, *args)
 
+    def stalled_set_domain(self, u, values):
+        per_attempt[-1] += 1
+        return 0
+
     monkeypatch.setattr(ConstraintSolver, "__init__", counting_init)
-    with pytest.raises(StepBudgetError, match=f"in each of 5 attempts while {verb}"):
+    monkeypatch.setattr(ConstraintSolver, "set_domain", stalled_set_domain)
+    return per_attempt
+
+
+def _luby_caps(unit, total):
+    """Attempt k may spend unit * luby(k) decisions of what is left of ``total``."""
+    caps = [min(unit, total)]
+    while sum(caps) < total:
+        caps.append(min(unit * _luby(len(caps) + 1), total - sum(caps)))
+    return caps
+
+
+# (solver, target, verb, decisions in a unit of its restart schedule) on chain4
+SOLVERS = [
+    (solve_sample, uniform_distribution(4, 2), "sampling", 2),
+    (solve_fix, np.array([0, 0, 1, 1]), "repairing", 16),
+]
+
+
+def test_luby_sequence():
+    assert [_luby(k) for k in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("step_budget", [0, 3])
+@pytest.mark.parametrize("solve, target, verb", [case[:3] for case in SOLVERS])
+def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, verb, step_budget):
+    # the attempts share step_budget * max_restarts decisions, each up to its Luby cap
+    per_attempt = _stall_every_decision(monkeypatch)
+    total = 5 * step_budget
+    with pytest.raises(StepBudgetError, match=f"spent all {total} decisions in .* while {verb}"):
         solve(chain4, topo2, target, np.random.default_rng(0), step_budget=step_budget, max_restarts=5)
-    assert len(built) == 5
+    unit = next(case[3] for case in SOLVERS if case[2] == verb)
+    assert per_attempt == _luby_caps(unit, total)
 
 
-def test_sample_explicit_order_validated(chain4, topo2):
-    with pytest.raises(InvalidConfigError):
-        solve_sample(chain4, topo2, uniform_distribution(4, 2), np.random.default_rng(0), order=[0, 0, 1, 2])
+@pytest.mark.parametrize("solve, target, verb, unit", SOLVERS)
+def test_default_budget_totals_1024_decisions_per_node(monkeypatch, chain4, topo2, solve, target, verb, unit):
+    per_attempt = _stall_every_decision(monkeypatch)
+    with pytest.raises(StepBudgetError, match=f"spent all 4096 decisions in {len(_luby_caps(unit, 4096))} attempts"):
+        solve(chain4, topo2, target, np.random.default_rng(0))
+    assert STEP_BUDGET_FACTOR * MAX_RESTARTS == 1024
+    assert per_attempt == _luby_caps(unit, 1024 * 4)
 
 
 # ---- solve_fix -------------------------------------------------------------
