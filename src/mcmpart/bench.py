@@ -76,7 +76,6 @@ def compare_strategies(
     ppo: Optional[PpoConfig] = None,
     model_config: Optional[ModelConfig] = None,
     checkpoint: Optional[PolicyParams] = None,
-    jobs: int = 1,
 ) -> list[tuple]:
     """Geomean best-so-far improvement curves, mean/std over seeds.
 
@@ -87,31 +86,21 @@ def compare_strategies(
     if not graphs or not seeds:
         raise InvalidConfigError("need at least one graph and one seed")
     baselines = [analytical_eval(g, topo, greedy_heuristic(g, topo)).throughput for g in graphs]
-    cells = [
-        (strategy, gi, seed)
-        for strategy in strategies
-        for gi in range(len(graphs))
-        for seed in seeds
-    ]
-    runner = _CellRunner(graphs, topo, budget_samples, evaluator, ppo, model_config, checkpoint, baselines)
 
-    results = {}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for cell, curve in pool.map(runner, cells):
-                results[cell] = curve
-    else:
-        for cell in cells:
-            key, curve = runner(cell)
-            results[key] = curve
+    def curve(strategy, g, baseline, seed):
+        budget = SearchBudget(max_samples=budget_samples, seed=cell_seed(seed, strategy, g))
+        trace = run_strategy(strategy, g, topo, evaluator, budget,
+                             ppo=ppo, model_config=model_config, checkpoint=checkpoint)
+        best = np.array(trace.best, dtype=np.float64)
+        if len(best) < budget_samples:  # pad stopped runs with their final best
+            best = np.pad(best, (0, budget_samples - len(best)), mode="edge")
+        return best / baseline
 
     rows = []
     for strategy in strategies:
         per_seed = []
         for seed in seeds:
-            curves = np.stack([results[(strategy, gi, seed)] for gi in range(len(graphs))])
+            curves = np.stack([curve(strategy, g, base, seed) for g, base in zip(graphs, baselines)])
             with np.errstate(divide="ignore"):
                 logs = np.where(curves > 0, np.log(np.maximum(curves, 1e-300)), -np.inf)
             geo = np.exp(logs.mean(axis=0))
@@ -123,30 +112,6 @@ def compare_strategies(
         for k in range(budget_samples):
             rows.append((strategy, k + 1, float(mean[k]), float(std[k])))
     return rows
-
-
-class _CellRunner:
-    """Picklable cell executor so --jobs > 1 can fan out across processes."""
-
-    def __init__(self, graphs, topo, budget_samples, evaluator, ppo, model_config, checkpoint, baselines):
-        self.graphs = graphs
-        self.topo = topo
-        self.budget_samples = budget_samples
-        self.evaluator = evaluator
-        self.ppo = ppo
-        self.model_config = model_config
-        self.checkpoint = checkpoint
-        self.baselines = baselines
-
-    def __call__(self, cell):
-        strategy, gi, seed = cell
-        budget = SearchBudget(max_samples=self.budget_samples, seed=cell_seed(seed, strategy, self.graphs[gi]))
-        trace = run_strategy(strategy, self.graphs[gi], self.topo, self.evaluator, budget,
-                             ppo=self.ppo, model_config=self.model_config, checkpoint=self.checkpoint)
-        best = np.array(trace.best, dtype=np.float64)
-        if len(best) < self.budget_samples:  # pad stopped runs with their final best
-            best = np.pad(best, (0, self.budget_samples - len(best)), mode="edge")
-        return cell, best / self.baselines[gi]
 
 
 def samples_to_target(best_so_far: Sequence[float], targets: Sequence[float]) -> list[Optional[int]]:

@@ -125,24 +125,27 @@ def _topology(settings) -> ChipTopology:
     )
 
 
-def _evaluator(settings):
+def _surrogate_config(settings, noise=0.0, headroom=1.0, failure_rate=0.0, seed=0) -> SurrogateConfig:
+    """The surrogate knobs from ``--surrogate-config``, else from the single knobs over the given defaults."""
+    cfg_path = settings.get("surrogate-config", None)
+    if cfg_path:
+        with open(cfg_path, "rb") as fh:
+            return SurrogateConfig.from_json(fh.read())
+    return SurrogateConfig(
+        noise_scale=float(settings.get("noise", noise, float)),
+        extra_failure_rate=float(settings.get("failure-rate", failure_rate, float)),
+        memory_headroom=float(settings.get("headroom", headroom, float)),
+        seed=int(settings.get("surrogate-seed", seed, int)),
+    )
+
+
+def _evaluator(settings, **surrogate_defaults):
     kind = settings.get("evaluator", "analytical")
     include_comm = not bool(int(settings.get("no-comm", 0, int)))
     if kind == "analytical":
         return make_analytical(include_comm=include_comm)
     if kind == "surrogate":
-        cfg_path = settings.get("surrogate-config", None)
-        if cfg_path:
-            with open(cfg_path, "rb") as fh:
-                cfg = SurrogateConfig.from_json(fh.read())
-        else:
-            cfg = SurrogateConfig(
-                noise_scale=float(settings.get("noise", 0.0, float)),
-                extra_failure_rate=float(settings.get("failure-rate", 0.0, float)),
-                memory_headroom=float(settings.get("headroom", 1.0, float)),
-                seed=int(settings.get("surrogate-seed", 0, int)),
-            )
-        return make_surrogate(cfg, include_comm=include_comm)
+        return make_surrogate(_surrogate_config(settings, **surrogate_defaults), include_comm=include_comm)
     raise InvalidConfigError(f"unknown evaluator {kind!r}")
 
 
@@ -362,10 +365,14 @@ def _graph_paths(spec: str) -> list[Path]:
     return [Path(s) for s in spec.split(",")]
 
 
+# bench's own surrogate defaults: a noisier, tighter stand-in for hardware
+BENCH_SURROGATE = {"noise": 0.1, "headroom": 0.85, "failure_rate": 0.0, "seed": 0}
+
+
 def cmd_bench(args) -> int:
     settings = Settings(args)
     topo = _topology(settings)
-    evaluator = _evaluator(settings)
+    evaluator = _evaluator(settings, **BENCH_SURROGATE)
     prov = settings.provenance(f"bench-{args.bench_cmd}", args.seed)
     if args.bench_cmd == "compare":
         graphs = [load_graph_file(p) for p in _graph_paths(args.graphs)]
@@ -378,7 +385,7 @@ def cmd_bench(args) -> int:
             graphs, topo, strategies, args.budget,
             seeds=list(range(args.seed, args.seed + args.num_seeds)),
             evaluator=evaluator, ppo=ppo, model_config=model,
-            checkpoint=checkpoint, jobs=args.jobs,
+            checkpoint=checkpoint,
         )
         _write_csv(args.out, "strategy,sample,geomean_improvement,stddev", rows, prov)
         return 0
@@ -390,12 +397,7 @@ def cmd_bench(args) -> int:
         return 0
     if args.bench_cmd == "calibrate":
         g = load_graph_file(args.graph)
-        cfg = SurrogateConfig(
-            noise_scale=args.noise,
-            extra_failure_rate=args.failure_rate,
-            memory_headroom=args.headroom,
-            seed=args.surrogate_seed,
-        )
+        cfg = _surrogate_config(settings, **BENCH_SURROGATE)
         res = bench_mod.calibration_study(g, topo, args.samples, cfg, np.random.default_rng(args.seed))
         _write_csv(
             args.out,
@@ -569,15 +571,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-seeds", type=int, default=5)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--headroom", type=float, default=0.85)
-    p.add_argument("--failure-rate", type=float, default=0.0)
-    p.add_argument("--surrogate-seed", type=int, default=0)
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--headroom", type=float, default=None)
+    p.add_argument("--failure-rate", type=float, default=None)
+    p.add_argument("--surrogate-seed", type=int, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--profile", choices=("tiny", "default"), default=None)
     p.add_argument("--trace", default=None, help="s2t: input trace CSV")
     p.add_argument("--targets", default="1.1,1.2,1.3")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bench)
 

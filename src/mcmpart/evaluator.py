@@ -142,30 +142,11 @@ def _score(g, topo, p, include_comm: bool, cfg: Optional[SurrogateConfig] = None
     return EvalResult(True, throughput, lat, mem)
 
 
-class AnalyticalEvaluator:
-    """Picklable callable wrapper around :func:`analytical_eval`."""
-
-    def __init__(self, include_comm: bool = True):
-        self.include_comm = include_comm
-
-    def __call__(self, g, topo, p) -> EvalResult:
-        return analytical_eval(g, topo, p, include_comm=self.include_comm)
-
-
-class SurrogateEvaluator:
-    """Picklable callable wrapper around :func:`surrogate_eval`."""
-
-    def __init__(self, cfg: SurrogateConfig, include_comm: bool = True):
-        self.cfg = cfg
-        self.include_comm = include_comm
-
-    def __call__(self, g, topo, p) -> EvalResult:
-        return surrogate_eval(g, topo, p, self.cfg, include_comm=self.include_comm)
-
-
 def make_analytical(include_comm: bool = True) -> Evaluator:
-    return AnalyticalEvaluator(include_comm=include_comm)
+    # analytical_eval is looked up at call time, so a wrapper installed on
+    # this module's global after the evaluator was built still sees its calls
+    return lambda g, topo, p: analytical_eval(g, topo, p, include_comm=include_comm)
 
 
 def make_surrogate(cfg: SurrogateConfig, include_comm: bool = True) -> Evaluator:
-    return SurrogateEvaluator(cfg, include_comm=include_comm)
+    return lambda g, topo, p: surrogate_eval(g, topo, p, cfg, include_comm=include_comm)

@@ -3,8 +3,9 @@
 Chip-id domains are encoded as bitmasks (bit ``c`` set means chip ``c`` is
 still allowed), stored as int64, which caps the chip count at 62.
 Propagation works on the domains as Python ints and on per-graph adjacency
-lists; the static check is a plain loop over numpy arrays, and the per-chip
-sums are numpy reductions.
+lists.  The static check and the per-chip sums are numpy array operations
+over the assignment and the edge endpoints, with no loop over nodes or
+edges.
 """
 
 from __future__ import annotations
@@ -199,59 +200,44 @@ def propagate(dom, order, preds, succs, num_chips, seeds=None, chip_edges=None):
 def check_static_kernel(assign, edge_src, edge_dst, num_chips):
     """Direct evaluation of the three static rules on a total assignment.
 
-    Independent of the solver: no domains, no propagation.  Returns
-    ``(code, w0, w1)`` with code 0 = ok, 1 = backward edge (witness edge
-    endpoints), 2 = skipped chip (witness chip id), 3 = direct/indirect
-    chip dependency clash (witness edge endpoints).
+    Returns ``(code, w0, w1)`` with code 0 = ok, 1 = backward edge (witness
+    edge endpoints), 2 = skipped chip (witness chip id), 3 = direct/indirect
+    chip dependency clash (witness edge endpoints).  Each witness is the
+    first violation: the first edge in edge order, or the lowest chip.
+
+    Rule 3 reads the chip graph: a cross-chip edge ``a -> c`` clashes when
+    a chip path of two or more edges also runs from ``a`` to ``c``.  The
+    transitive closure ``reach`` of the direct chip edges comes from
+    repeated boolean squaring; ``C.bit_length()`` rounds cover paths of up
+    to ``C - 1`` edges, the longest the chip graph can hold once rule 1 has
+    made it acyclic.  A clash is then a direct edge with ``(direct @
+    reach)[a, c]`` set.
+
+    This is the oracle for solver outputs, so it shares no code with the
+    solver: no domains and no propagation, only the assignment and the
+    edge list.
     """
-    n = assign.shape[0]
-    ne = edge_src.shape[0]
+    a = assign[edge_src]
+    c = assign[edge_dst]
+    back = np.flatnonzero(a > c)
+    if back.size:
+        return 1, edge_src[back[0]], edge_dst[back[0]]
 
-    for e in range(ne):
-        u = edge_src[e]
-        v = edge_dst[e]
-        if assign[u] > assign[v]:
-            return 1, u, v
+    if assign.size:
+        skipped = np.flatnonzero(np.bincount(assign, minlength=num_chips)[:assign.max()] == 0)
+        if skipped.size:
+            return 2, skipped[0], -1
 
-    hi = -1
-    used = np.zeros(num_chips, np.bool_)
-    for i in range(n):
-        a = assign[i]
-        used[a] = True
-        if a > hi:
-            hi = a
-    for c in range(hi + 1):
-        if not used[c]:
-            return 2, c, -1
-
-    direct = np.zeros((num_chips, num_chips), np.bool_)
-    any_cross = False
-    for e in range(ne):
-        a = assign[edge_src[e]]
-        c = assign[edge_dst[e]]
-        if a != c:
-            direct[a, c] = True
-            any_cross = True
-    if any_cross:
-        # max-plus closure: longest path between chips (edges are acyclic
-        # here because the backward-edge check above already passed)
-        neg = -(num_chips + 1)
-        delta = np.full((num_chips, num_chips), neg, np.int64)
-        for a in range(num_chips):
-            for c in range(num_chips):
-                if direct[a, c]:
-                    delta[a, c] = 1
-        for b in range(num_chips):
-            for a in range(num_chips):
-                if delta[a, b] > 0:
-                    for c in range(num_chips):
-                        if delta[b, c] > 0 and delta[a, b] + delta[b, c] > delta[a, c]:
-                            delta[a, c] = delta[a, b] + delta[b, c]
-        for e in range(ne):
-            a = assign[edge_src[e]]
-            c = assign[edge_dst[e]]
-            if a != c and delta[a, c] != 1:
-                return 3, edge_src[e], edge_dst[e]
+    cross = a != c
+    if cross.any():
+        direct = np.zeros((num_chips, num_chips), np.bool_)
+        direct[a[cross], c[cross]] = True
+        reach = direct.copy()
+        for _ in range(num_chips.bit_length()):
+            reach |= reach @ reach
+        clash = np.flatnonzero(cross & (direct @ reach)[a, c])
+        if clash.size:
+            return 3, edge_src[clash[0]], edge_dst[clash[0]]
 
     return 0, -1, -1
 

@@ -7,7 +7,6 @@ statically valid; traces record per-sample throughput and the running best.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +22,6 @@ from .solver import Partition, check_static, solve_fix, solve_sample, uniform_di
 @dataclass
 class SearchBudget:
     max_samples: int
-    max_wall_time: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -122,10 +120,7 @@ def random_search(
     rng = np.random.default_rng(budget.seed)
     P = uniform_distribution(g.num_nodes, topo.num_chips)
     trace = SearchTrace()
-    start = time.monotonic()
     for _ in range(budget.max_samples):
-        if budget.max_wall_time is not None and time.monotonic() - start > budget.max_wall_time:
-            break
         part = solve_sample(g, topo, P, rng)
         trace.record(evaluator(g, topo, part), part)
     return trace
@@ -151,7 +146,6 @@ def simulated_annealing(
     scale = _baseline_throughput(g, topo, evaluator)
     P = uniform_distribution(n, c)
     trace = SearchTrace()
-    start = time.monotonic()
 
     part = solve_sample(g, topo, P, rng)
     result = evaluator(g, topo, part)
@@ -161,8 +155,6 @@ def simulated_annealing(
     k = max(1, math.ceil(cfg.mutation_fraction * n)) if n else 0
 
     while trace.num_samples < budget.max_samples:
-        if budget.max_wall_time is not None and time.monotonic() - start > budget.max_wall_time:
-            break
         cand = P.copy()
         if k:
             rows = rng.choice(n, size=k, replace=False)

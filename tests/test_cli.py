@@ -308,6 +308,43 @@ def test_bench_compare_and_sparsity_and_calibrate(tmp_path, capsys):
     assert summary["pearson_r"] is None or summary["pearson_r"] > 0.5
 
 
+def _calibrate_r(capsys, g, out, *extra):
+    assert run(["bench", "calibrate", "--graph", g, "--chips", 3, "--samples", 40, "--seed", 1, "--out", out, *extra]) == 0
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["pearson_r"]
+
+
+def test_bench_calibrate_reads_surrogate_knobs_from_env_and_config(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "layered", "--nodes", 12, "--seed", 0, "--out", g])
+    out = tmp_path / "cal.csv"
+    noisy = _calibrate_r(capsys, g, out)  # bench's default noise of 0.1
+    assert noisy < 0.999
+    assert _calibrate_r(capsys, g, out, "--noise", "0.0") == pytest.approx(1.0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("noise=0.0\n")
+    assert _calibrate_r(capsys, g, out, "--config", cfg) == pytest.approx(1.0)
+    monkeypatch.setenv("MCMPART_NOISE", "0.0")
+    assert _calibrate_r(capsys, g, out) == pytest.approx(1.0)
+    assert _calibrate_r(capsys, g, out, "--noise", "0.1") == noisy  # the flag beats the environment
+
+
+def test_bench_compare_surrogate_reads_noise_from_env(tmp_path, monkeypatch):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "layered", "--nodes", 10, "--seed", 0, "--out", g])
+
+    def compare(name):
+        out = tmp_path / name
+        assert run(["bench", "compare", "--graphs", g, "--strategies", "random", "--budget", 8, "--num-seeds", 1,
+                    "--chips", 3, "--evaluator", "surrogate", "--out", out]) == 0
+        return out.read_bytes()
+
+    default = compare("default.csv")
+    monkeypatch.setenv("MCMPART_NOISE", "0.1")
+    assert compare("same.csv") == default
+    monkeypatch.setenv("MCMPART_NOISE", "0.5")
+    assert compare("noisy.csv") != default
+
+
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("chips=3\n# comment line\nsram=999999999\n")

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from mcmpart import ChipTopology, GeneratorConfig, generate_synthetic, solve_fix, solve_sample, uniform_distribution
+from mcmpart import (
+    ChipTopology, ComputationGraph, DataEdge, GeneratorConfig, OpNode,
+    generate_synthetic, solve_fix, solve_sample, uniform_distribution,
+)
 from mcmpart import kernels as kern
 from mcmpart import solver as solver_mod
 from mcmpart.errors import InfeasibleError, InvalidConfigError, StepBudgetError
@@ -183,6 +188,65 @@ def reference_propagate(dom, edge_src, edge_dst, num_chips):
             return 0
 
 
+def reference_check_static(assign, edge_src, edge_dst, num_chips):
+    """Slow reference oracle: the three static rules as plain loops.
+
+    The static check as it stood before vectorisation: same return codes and
+    witnesses, one edge and one chip at a time, with the chip dependency
+    closure as an explicit longest-path table.
+    """
+    n = assign.shape[0]
+    ne = edge_src.shape[0]
+
+    for e in range(ne):
+        u = edge_src[e]
+        v = edge_dst[e]
+        if assign[u] > assign[v]:
+            return 1, u, v
+
+    hi = -1
+    used = np.zeros(num_chips, np.bool_)
+    for i in range(n):
+        a = assign[i]
+        used[a] = True
+        if a > hi:
+            hi = a
+    for c in range(hi + 1):
+        if not used[c]:
+            return 2, c, -1
+
+    direct = np.zeros((num_chips, num_chips), np.bool_)
+    any_cross = False
+    for e in range(ne):
+        a = assign[edge_src[e]]
+        c = assign[edge_dst[e]]
+        if a != c:
+            direct[a, c] = True
+            any_cross = True
+    if any_cross:
+        # max-plus closure: longest path between chips (edges are acyclic
+        # here because the backward-edge check above already passed)
+        neg = -(num_chips + 1)
+        delta = np.full((num_chips, num_chips), neg, np.int64)
+        for a in range(num_chips):
+            for c in range(num_chips):
+                if direct[a, c]:
+                    delta[a, c] = 1
+        for b in range(num_chips):
+            for a in range(num_chips):
+                if delta[a, b] > 0:
+                    for c in range(num_chips):
+                        if delta[b, c] > 0 and delta[a, b] + delta[b, c] > delta[a, c]:
+                            delta[a, c] = delta[a, b] + delta[b, c]
+        for e in range(ne):
+            a = assign[edge_src[e]]
+            c = assign[edge_dst[e]]
+            if a != c and delta[a, c] != 1:
+                return 3, edge_src[e], edge_dst[e]
+
+    return 0, -1, -1
+
+
 def random_partial_domains(g, c, rng):
     """Full domains with a random share committed and some others narrowed."""
     n = g.num_nodes
@@ -265,6 +329,51 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
             except (StepBudgetError, InfeasibleError):
                 pass
     assert seen["seeded"] > 2000 and seen["wipeouts"] > 200, seen
+
+
+def test_check_static_matches_reference_oracle():
+    # Uniform draws mostly break rule 1, solver outputs pass, and a solver
+    # output with one node moved lands on every code, rule 3 included.
+    codes = [0, 0, 0, 0]
+
+    def agree(g, assign, c, ctx):
+        want = reference_check_static(assign, g.edge_src, g.edge_dst, c)
+        got = kern.check_static_kernel(assign, g.edge_src, g.edge_dst, c)
+        assert tuple(int(x) for x in got) == tuple(int(x) for x in want), (ctx, c, assign.tolist())
+        codes[int(want[0])] += 1
+
+    for seed in range(400):  # every (family, skip_prob, chip count) pairing
+        rng = np.random.default_rng(seed)
+        skip = (0.25, 0.9)[seed % 2]
+        g = generate_synthetic(GeneratorConfig(FAMILIES[seed % 5], int(rng.integers(2, 30)), seed=seed, skip_prob=skip))
+        c = 1 + seed % 8
+        n = g.num_nodes
+        topo = ChipTopology(num_chips=c)
+        for _ in range(10):
+            agree(g, rng.integers(0, c, n), c, (seed, "uniform"))
+        for _ in range(3):
+            part = solve_sample(g, topo, uniform_distribution(n, c), rng)
+            agree(g, part.assignment, c, (seed, "solver"))
+            for _ in range(4):
+                moved = part.assignment.copy()
+                moved[rng.integers(0, n)] = rng.integers(0, c)
+                agree(g, moved, c, (seed, "moved"))
+    assert sum(codes) >= 10_000 and min(codes) > 0 and codes[3] >= 100, codes
+
+    empty = ComputationGraph([], [])
+    no_edges = ComputationGraph([OpNode(i, "op", 1.0, 0, 0) for i in range(4)], [])
+    for g in (empty, no_edges):
+        for c in (1, 3):
+            for assign in itertools.product(range(c), repeat=g.num_nodes):
+                agree(g, np.array(assign, dtype=np.int64), c, "edge-free")
+
+    # One node per chip along a chain, plus a skip edge from the first to
+    # the last: the clash needs the closure to span the longest chip path.
+    for c in range(1, 9):
+        edges = [DataEdge(i, i + 1, 1) for i in range(c - 1)] + ([DataEdge(0, c - 1, 1)] if c > 2 else [])
+        g = ComputationGraph([OpNode(i, "op", 1.0, 0, 0) for i in range(c)], edges)
+        agree(g, np.arange(c, dtype=np.int64), c, "longest path")
+        assert kern.check_static_kernel(np.arange(c), g.edge_src, g.edge_dst, c)[0] == (3 if c > 2 else 0)
 
 
 def test_propagate_leaves_domains_untouched_on_wipeout():
