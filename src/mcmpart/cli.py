@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -117,6 +118,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _numbers(spec: str, cast, flag: str) -> list:
+    """The comma-separated numbers of ``flag``; a malformed or non-finite entry is a config error."""
+    try:
+        values = [cast(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise InvalidConfigError(f"{flag} {spec!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidConfigError(f"{flag} {spec!r} holds a non-finite number")
+    return values
+
+
 def _topology(settings) -> ChipTopology:
     return ChipTopology(
         num_chips=int(settings.get("chips", 4, int)),
@@ -182,8 +194,11 @@ def cmd_gen(args) -> int:
         _write_json(args.out, graph_to_json(g), settings.provenance("gen", seed))
         return 0
     # corpus mode: several graphs plus a split manifest
-    if not args.out_dir or not args.manifest:
-        raise InvalidConfigError("corpus mode needs --out-dir and --manifest")
+    if not args.out_dir or not args.manifest or not args.splits:
+        raise InvalidConfigError("corpus mode needs --out-dir, --manifest and --splits")
+    sizes = tuple(_numbers(args.splits, int, "--splits"))
+    if len(sizes) != 3 or min(sizes) < 0:
+        raise InvalidConfigError("--splits must be train,validation,test sizes")
     rng = np.random.default_rng(seed)
     families = FAMILIES if args.family == "mixed" else (args.family,)
     named = []
@@ -191,9 +206,6 @@ def cmd_gen(args) -> int:
         fam = families[i % len(families)]
         nodes = int(rng.integers(max(4, args.nodes // 2), args.nodes + 1))
         named.append((f"{fam}-{i:03d}", generate_synthetic(GeneratorConfig(fam, nodes, seed=int(rng.integers(1 << 31))))))
-    sizes = tuple(int(x) for x in args.splits.split(","))
-    if len(sizes) != 3:
-        raise InvalidConfigError("--splits must be train,validation,test")
     corpus = pipeline_mod.split_corpus(named, sizes, seed)
     pipeline_mod.save_manifest(args.manifest, corpus, args.out_dir)
     return 0
@@ -367,9 +379,14 @@ def _graph_paths(spec: str) -> list[Path]:
 
 # bench's own surrogate defaults: a noisier, tighter stand-in for hardware
 BENCH_SURROGATE = {"noise": 0.1, "headroom": 0.85, "failure_rate": 0.0, "seed": 0}
+# the input flag each bench command cannot run without
+BENCH_INPUT = {"compare": "graphs", "sparsity": "graph", "calibrate": "graph", "s2t": "trace"}
 
 
 def cmd_bench(args) -> int:
+    flag = BENCH_INPUT.get(args.bench_cmd)
+    if flag and getattr(args, flag) is None:
+        raise InvalidConfigError(f"bench {args.bench_cmd} needs --{flag}")
     settings = Settings(args)
     topo = _topology(settings)
     evaluator = _evaluator(settings, **BENCH_SURROGATE)
@@ -416,7 +433,7 @@ def cmd_bench(args) -> int:
         return 0
     if args.bench_cmd == "s2t":
         best = _read_trace_best(args.trace)
-        targets = [float(x) for x in args.targets.split(",")]
+        targets = _numbers(args.targets, float, "--targets")
         counts = bench_mod.samples_to_target(best, targets)
         rows = [(t, c) for t, c in zip(targets, counts)]
         _write_csv(args.out, "target,samples", rows, prov)

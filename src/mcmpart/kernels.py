@@ -1,11 +1,11 @@
 """Hot numeric kernels: domain propagation, validity checking, per-chip sums.
 
-Chip-id domains are encoded as bitmasks (bit ``c`` set means chip ``c`` is
-still allowed), stored as int64, which caps the chip count at 62.
-Propagation works on the domains as Python ints and on per-graph adjacency
-lists.  The static check and the per-chip sums are numpy array operations
-over the assignment and the edge endpoints, with no loop over nodes or
-edges.
+Chip-id domains are bitmasks (bit ``c`` set means chip ``c`` is still
+allowed), one Python int per node in a plain list.  Propagation works on
+that list and on per-graph adjacency lists.  ``ChipTopology`` caps the chip
+count at ``MAX_CHIPS``.  The static check and the per-chip sums are numpy
+array operations over the assignment and the edge endpoints, with no loop
+over nodes or edges.
 """
 
 from __future__ import annotations
@@ -15,36 +15,30 @@ import numpy as np
 MAX_CHIPS = 62
 
 
-def propagate(dom, order, preds, succs, num_chips, seeds=None, chip_edges=None):
-    """Prune ``dom`` (int64 bitmasks, in place) to a fixpoint.
+def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
+    """Prune ``dom`` (a list of int bitmasks, in place) to a fixpoint.
 
-    ``order`` is a topological order of the nodes, ``preds[v]`` and
-    ``succs[u]`` their adjacency lists.  Enforces, conservatively, the three
-    static placement rules: edge-monotone chip ids, contiguous chip usage,
-    and the no-coexisting direct/indirect chip dependency rule over chips
-    committed so far (singleton domains).  Every rule only removes values
-    and removes more from smaller domains, so the fixpoint does not depend
-    on the order the rules run in.  Returns 0 on success, 1 if some domain
-    emptied; ``dom`` and ``chip_edges`` are written only on success.
+    ``preds[v]`` and ``succs[u]`` are the nodes' adjacency lists.  Enforces,
+    conservatively, the three static placement rules: edge-monotone chip
+    ids, contiguous chip usage, and the no-coexisting direct/indirect chip
+    dependency rule over chips committed so far (singleton domains).
+    Every rule only removes values and removes more from smaller domains,
+    so the fixpoint does not depend on the order the rules run in.  Returns
+    0 on success, 1 if some domain emptied; ``dom`` and ``chip_edges`` are
+    written only on success.
 
     ``seeds`` names the nodes whose domains changed since the last
     fixpoint; every other domain must already be at it.  ``chip_edges`` is
     a list of ``3 * num_chips`` ints that holds the committed chip edges of
     that fixpoint (bit c of entry a is set when an edge runs from a node
     committed to chip a to one committed to chip c), then the two look-ahead
-    tables derived from them.  With both given, the look-ahead visits only
-    the edges next to changed nodes until a new chip edge appears.
-    ``seeds=None`` means every node; ``chip_edges=None`` rebuilds the chip
-    edges from ``dom`` and writes nothing back.
+    tables derived from them.  The look-ahead visits only the edges next to
+    changed nodes until a new chip edge appears.  A full sweep passes every
+    node as a seed and ``[0] * (3 * num_chips)`` as the chip edges.
     """
-    d = dom.tolist()
-    fresh = seeds is None or chip_edges is None
-    seeds = order if seeds is None else seeds
-    changed = list(order) if fresh else list(seeds)  # nodes whose edges the look-ahead must see
-    if fresh:
-        chips, ahead, behind = [0] * num_chips, [0] * num_chips, [0] * num_chips
-    else:
-        chips, ahead, behind = (chip_edges[i * num_chips:(i + 1) * num_chips] for i in range(3))
+    d = dom[:]
+    changed = list(seeds)  # nodes whose edges the look-ahead must see
+    chips, ahead, behind = (chip_edges[i * num_chips:(i + 1) * num_chips] for i in range(3))
     while True:
         # Every edge (u, v) forces min(dom[v]) >= min(dom[u]) and
         # max(dom[u]) <= max(dom[v]).  Minimums flow forward from the seeds
@@ -192,8 +186,7 @@ def propagate(dom, order, preds, succs, num_chips, seeds=None, chip_edges=None):
             break
         changed = list(seeds)
     dom[:] = d
-    if chip_edges is not None:
-        chip_edges[:] = chips + ahead + behind
+    chip_edges[:] = chips + ahead + behind
     return 0
 
 

@@ -30,7 +30,6 @@ class ModelConfig:
     op_vocab: tuple = OP_VOCAB
     num_layers: int = 8
     hidden_dim: int = 128
-    use_value_head: bool = False
 
     @property
     def feature_dim(self) -> int:
@@ -82,11 +81,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> PolicyParams:
     weights["head_b1"] = np.zeros(h)
     weights["head_W2"] = glorot(h, config.num_chips)
     weights["head_b2"] = np.zeros(config.num_chips)
-    if config.use_value_head:
-        weights["val_W1"] = glorot(h, h)
-        weights["val_b1"] = np.zeros(h)
-        weights["val_W2"] = glorot(h, 1)
-        weights["val_b2"] = np.zeros(1)
     return PolicyParams(config, weights)
 
 
@@ -144,7 +138,7 @@ class GraphFeatures:
 
 
 def forward_policy(params: PolicyParams, feats: GraphFeatures, x: np.ndarray, need_cache: bool = False):
-    """Run embedding layers and head; returns (logits, value, cache)."""
+    """Run embedding layers and head; returns (logits, cache)."""
     cfg = params.config
     w = params.weights
     if x.shape[1] != cfg.feature_dim:
@@ -159,22 +153,15 @@ def forward_policy(params: PolicyParams, feats: GraphFeatures, x: np.ndarray, ne
         h = h_new
     t1 = np.tanh(h @ w["head_W1"] + w["head_b1"])
     logits = t1 @ w["head_W2"] + w["head_b2"]
-    value = 0.0
-    vcache = None
-    if cfg.use_value_head:
-        pooled = h.mean(axis=0) if len(h) else np.zeros(cfg.hidden_dim)
-        v1 = np.tanh(pooled @ w["val_W1"] + w["val_b1"])
-        value = float((v1 @ w["val_W2"])[0] + w["val_b2"][0])
-        vcache = (pooled, v1)
-    cache = (h, t1, layer_cache, vcache) if need_cache else None
-    return logits, value, cache
+    cache = (h, t1, layer_cache) if need_cache else None
+    return logits, cache
 
 
-def backward_policy(params: PolicyParams, feats: GraphFeatures, cache, dlogits: np.ndarray, dvalue: float, grads: dict):
+def backward_policy(params: PolicyParams, feats: GraphFeatures, cache, dlogits: np.ndarray, grads: dict):
     """Accumulate loss gradients for one forward pass into ``grads``."""
     cfg = params.config
     w = params.weights
-    h, t1, layer_cache, vcache = cache
+    h, t1, layer_cache = cache
 
     grads["head_W2"] += t1.T @ dlogits
     grads["head_b2"] += dlogits.sum(axis=0)
@@ -183,16 +170,6 @@ def backward_policy(params: PolicyParams, feats: GraphFeatures, cache, dlogits: 
     grads["head_W1"] += h.T @ da1
     grads["head_b1"] += da1.sum(axis=0)
     dh = da1 @ w["head_W1"].T
-
-    if cfg.use_value_head and dvalue != 0.0:
-        pooled, v1 = vcache
-        grads["val_W2"] += np.outer(v1, [dvalue])
-        grads["val_b2"] += np.array([dvalue])
-        dv1 = dvalue * w["val_W2"][:, 0]
-        dav1 = dv1 * (1.0 - v1 * v1)
-        grads["val_W1"] += np.outer(pooled, dav1)
-        grads["val_b1"] += dav1
-        dh = dh + (w["val_W1"] @ dav1)[None, :] / max(len(h), 1)
 
     for l in range(cfg.num_layers - 1, -1, -1):
         z, h_new = layer_cache[l]
@@ -273,6 +250,8 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
             raise CheckpointFormatError(f"unsupported checkpoint version {header.get('version')}")
         cfg_doc = dict(header["config"])
         cfg_doc["op_vocab"] = tuple(cfg_doc["op_vocab"])
+        if cfg_doc.pop("use_value_head", False):  # older headers carry the flag; only false loads
+            raise CheckpointFormatError(f"{path} holds a value head, which the policy no longer has")
         config = ModelConfig(**cfg_doc)
         arrays = {}
         for entry in header["arrays"]:

@@ -115,15 +115,12 @@ class ConstraintSolver:
         n = g.num_nodes
         c = topo.num_chips
         # A node on chip v forces chips 0..v-1 to be occupied by other
-        # nodes, so no node can sit above chip n-1.
+        # nodes, so no node can sit above chip n-1.  Equal full domains are
+        # already a propagation fixpoint with no chip edges.
         init_mask = (1 << min(c, max(n, 1))) - 1
-        self._dom = np.full(n, init_mask, dtype=np.int64)
+        self._dom = [init_mask] * n
         self._chip_edges = [0] * (3 * c)  # committed chip edges and look-ahead tables, kept by propagate
-        self._trail: list[tuple[int, int, np.ndarray, list]] = []
-        if n and g.num_edges:
-            status = self._propagate()
-            if status != 0:  # full domains never wipe; defensive only
-                raise InfeasibleError("infeasible at initialization")
+        self._trail: list[tuple[int, int, list, list]] = []
 
     @property
     def decided_count(self) -> int:
@@ -134,7 +131,7 @@ class ConstraintSolver:
         return mask_to_values(self._dom[u])
 
     def domain_mask(self, u: int) -> int:
-        return int(self._dom[u])
+        return self._dom[u]
 
     def set_domain(self, u: int, values: Iterable[int]) -> int:
         """Restrict node ``u`` to ``values``, propagate, backtrack if needed.
@@ -144,7 +141,7 @@ class ConstraintSolver:
         exhausts the root alternatives.
         """
         mask = values_to_mask(values)
-        cur = int(self._dom[u])
+        cur = self._dom[u]
         new = cur & mask
         singleton = mask != 0 and mask & (mask - 1) == 0
         if singleton and new == 0:
@@ -157,27 +154,27 @@ class ConstraintSolver:
         self._trail.append((u, value, self._dom.copy(), self._chip_edges.copy()))
         if new != cur:
             self._dom[u] = new
-            status = self._propagate((u,))
+            status = self._propagate(u)
             if status != 0:
                 return self._backtrack()
         return len(self._trail)
 
-    def _propagate(self, seeds=None) -> int:
+    def _propagate(self, u: int) -> int:
         g = self.graph
-        return propagate(self._dom, g.topo_nodes, g.preds, g.succs, self.topo.num_chips, seeds, self._chip_edges)
+        return propagate(self._dom, g.preds, g.succs, self.topo.num_chips, (u,), self._chip_edges)
 
     def _backtrack(self) -> int:
         while self._trail:
             node, value, dom, chip_edges = self._trail.pop()
-            np.copyto(self._dom, dom)
+            self._dom = dom
             self._chip_edges = chip_edges
             if value < 0:
                 continue  # re-asserted domain: nothing to retry here
-            remaining = int(self._dom[node]) & ~(1 << value)
+            remaining = dom[node] & ~(1 << value)
             if remaining == 0:
                 continue
-            self._dom[node] = remaining
-            status = self._propagate((node,))
+            dom[node] = remaining
+            status = self._propagate(node)
             if status == 0:
                 return len(self._trail)
         raise InfeasibleError("backtracking exhausted the root domain")
@@ -185,8 +182,7 @@ class ConstraintSolver:
     def assignment(self) -> np.ndarray:
         """Read the assignment once every domain is a singleton."""
         out = np.empty(self.graph.num_nodes, dtype=np.int64)
-        for i in range(self.graph.num_nodes):
-            m = int(self._dom[i])
+        for i, m in enumerate(self._dom):
             if m & (m - 1) != 0:
                 raise InvalidConfigError(f"node {i} is still undecided")
             out[i] = _lowest_bit(m)
@@ -218,13 +214,12 @@ def _sample_from_mask(probs: list, mask: int, rng: np.random.Generator) -> int:
     return allowed[-1]
 
 
-def _fail_first(dom: np.ndarray, perm: list) -> int:
+def _fail_first(dom: list, perm: list) -> int:
     """The undecided node with the fewest live chips, earliest in ``perm``
     among equals; -1 once every domain is a singleton."""
-    d = dom.tolist()
-    best, fewest = -1, 64  # more chips than an int64 domain holds
+    best, fewest = -1, 64  # more chips than MAX_CHIPS
     for u in perm:
-        x = d[u]
+        x = dom[u]
         if x & (x - 1):
             k = x.bit_count()
             if k < fewest:

@@ -43,7 +43,6 @@ class PpoConfig:
     entropy_bonus: float = 0.01
     solver_mode: str = "fix"  # "fix" | "sample"
     baseline_decay: float = 0.9
-    value_coeff: float = 0.5
 
     def __post_init__(self):
         if min(self.num_rollouts, self.num_minibatches, self.num_epochs, self.refinement_steps) < 1:
@@ -67,7 +66,7 @@ class Rollout:
 
 def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-node chip log-probs of one refinement step given the previous step's actions."""
-    logits, _, _ = forward_policy(params, feats, feats.features(prev))
+    logits, _ = forward_policy(params, feats, feats.features(prev))
     return log_softmax(logits)
 
 
@@ -153,13 +152,13 @@ def ppo_loss_and_grads(
     params: PolicyParams,
     rollouts: list[Rollout],
     advantages: np.ndarray,
-    rewards: np.ndarray,
     cfg: PpoConfig,
     feats: GraphFeatures,
 ):
-    """Clipped-surrogate loss (plus entropy bonus and optional value loss).
+    """Clipped-surrogate loss plus entropy bonus.
 
-    Returns (loss, grads, stats); grads cover every weight array.  The
+    Returns (loss, grads, stats): stats holds the surrogate and entropy
+    terms of the loss, and grads cover every weight array.  The
     replayed forwards condition on the stored actions, so the computation
     matches the rollout exactly.  Step 0 has the same input in every
     rollout, so it runs one forward and one backward for the whole
@@ -168,38 +167,32 @@ def ppo_loss_and_grads(
     grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
     if n_elems == 0:
-        return 0.0, grads, {"surrogate": 0.0, "entropy": 0.0, "value": 0.0}
+        return 0.0, grads, {"surrogate": 0.0, "entropy": 0.0}
     inv_m = 1.0 / n_elems
     loss_sur = 0.0
     loss_ent = 0.0
-    loss_val = 0.0
 
-    logits, value, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
+    logits, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
     lp0 = log_softmax(logits)
     dlogits0 = np.zeros_like(lp0)
-    dvalue0 = 0.0
     for ridx, ro in enumerate(rollouts):
         sur, ent, dlogits = _clipped_step(lp0, ro.actions[0], ro.old_logp[0], float(advantages[ridx]), inv_m, cfg)
         loss_sur -= inv_m * sur
         loss_ent -= inv_m * cfg.entropy_bonus * ent
         dlogits0 += dlogits
-        if params.config.use_value_head:
-            err = value - float(rewards[ridx])
-            loss_val += cfg.value_coeff * err * err / len(rollouts)
-            dvalue0 += 2.0 * cfg.value_coeff * err / len(rollouts)
-    backward_policy(params, feats, cache, dlogits0, dvalue0, grads)
+    backward_policy(params, feats, cache, dlogits0, grads)
 
     for ridx, ro in enumerate(rollouts):
         for t in range(1, ro.actions.shape[0]):
             x = feats.features(ro.actions[t - 1])
-            logits, _, cache = forward_policy(params, feats, x, need_cache=True)
+            logits, cache = forward_policy(params, feats, x, need_cache=True)
             lp = log_softmax(logits)
             sur, ent, dlogits = _clipped_step(lp, ro.actions[t], ro.old_logp[t], float(advantages[ridx]), inv_m, cfg)
             loss_sur -= inv_m * sur
             loss_ent -= inv_m * cfg.entropy_bonus * ent
-            backward_policy(params, feats, cache, dlogits, 0.0, grads)
-    loss = loss_sur + loss_ent + loss_val
-    stats = {"surrogate": loss_sur, "entropy": loss_ent, "value": loss_val}
+            backward_policy(params, feats, cache, dlogits, grads)
+    loss = loss_sur + loss_ent
+    stats = {"surrogate": loss_sur, "entropy": loss_ent}
     return loss, grads, stats
 
 
@@ -232,17 +225,13 @@ def ppo_update(
 ) -> dict:
     """One PPO update: epochs x minibatches over a batch of rollouts.
 
-    Advantages are rewards minus the running-baseline value (or the value
-    head's prediction when enabled).  A non-finite loss aborts the update
-    before any weight is touched in that minibatch.
+    Advantages are rewards minus ``baseline_reward``, the caller's reward
+    baseline for this graph: a moving average in :func:`train`, the batch
+    mean in ``pretrain``.  A non-finite loss aborts the update before any
+    weight is touched in that minibatch.
     """
     rewards = np.array([r.reward for r in rollouts], dtype=np.float64)
-    if params.config.use_value_head:
-        # every rollout starts from the same step-0 features, so one forward serves all
-        _, value, _ = forward_policy(params, feats, feats.features(None))
-        advantages = rewards - value
-    else:
-        advantages = rewards - baseline_reward
+    advantages = rewards - baseline_reward
     stats = {"loss": 0.0, "aborted": False, "mean_reward": float(rewards.mean()) if len(rewards) else 0.0}
     updates = 0
     for _ in range(cfg.num_epochs):
@@ -251,7 +240,7 @@ def ppo_update(
             if len(chunk) == 0:
                 continue
             batch = [rollouts[i] for i in chunk]
-            loss, grads, _ = ppo_loss_and_grads(params, batch, advantages[chunk], rewards[chunk], cfg, feats)
+            loss, grads, _ = ppo_loss_and_grads(params, batch, advantages[chunk], cfg, feats)
             if not math.isfinite(loss):
                 stats["aborted"] = True
                 return stats

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,17 @@ def make_graph(num_nodes, edges, costs=None, out_bytes=None, param_bytes=None, o
     ]
     data_edges = [DataEdge(src=u, dst=v, transfer_bytes=out_bytes[u]) for u, v in edges]
     return ComputationGraph(nodes, data_edges)
+
+
+def with_config_entry(path, key, value):
+    """Rewrite a checkpoint's header with one more config entry, laid out
+    as a writer whose config had that entry would have written it."""
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:16 + hlen])
+    header["config"][key] = value
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + hlen:])
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ from mcmpart.cli import main
 from mcmpart.policy import CHECKPOINT_MAGIC, ModelConfig, init_params, save_checkpoint
 from mcmpart.solver import Partition
 
+from conftest import with_config_entry
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -83,6 +85,18 @@ def test_truncated_checkpoint_is_a_format_error(tmp_path, capsys):
     assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 1,
                 "--out", tmp_path / "zs.csv"]) == 1
     _one_line_error(capsys, "checkpoint-format")
+
+
+def test_value_head_checkpoint_is_a_format_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", g])
+    ckpt = tmp_path / "value.ckpt"
+    save_checkpoint(ckpt, init_params(ModelConfig.tiny(2), np.random.default_rng(0)))
+    with_config_entry(ckpt, "use_value_head", True)
+    out = tmp_path / "zs.csv"
+    assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 1, "--out", out]) == 1
+    _one_line_error(capsys, "checkpoint-format")
+    assert not out.exists()
 
 
 def test_nan_cost_graph_is_a_parse_error(tmp_path, capsys):
@@ -228,6 +242,26 @@ def test_search_and_s2t_roundtrip(tmp_path):
     assert rows[0] == "target,samples"
     assert rows[1].split(",") == ["0.0001", "1"]
     assert rows[2].split(",")[1] == "N.A."
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--count", 4, "--out-dir", "d", "--manifest", "m.json"], id="gen-no-splits"),
+    pytest.param(["gen", "--count", 4, "--out-dir", "d", "--manifest", "m.json", "--splits", "1,1,x"], id="gen-bad-splits"),
+    pytest.param(["gen", "--count", 4, "--out-dir", "d", "--manifest", "m.json", "--splits", "1,-1,1"],
+                 id="gen-negative-splits"),
+    pytest.param(["bench", "compare", "--out", "o.csv"], id="compare-no-graphs"),
+    pytest.param(["bench", "sparsity", "--out", "o.csv"], id="sparsity-no-graph"),
+    pytest.param(["bench", "calibrate", "--out", "o.csv"], id="calibrate-no-graph"),
+    pytest.param(["bench", "s2t", "--out", "o.csv"], id="s2t-no-trace"),
+    pytest.param(["bench", "s2t", "--trace", "t.csv", "--targets", "1.1,abc", "--out", "o.csv"], id="s2t-bad-target"),
+    pytest.param(["bench", "s2t", "--trace", "t.csv", "--targets", "nan", "--out", "o.csv"], id="s2t-nan-target"),
+])
+def test_missing_or_malformed_argument_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("sample,throughput,best,valid\n1,0.5,0.5,1\n")
+    assert run(argv) == 1
+    _one_line_error(capsys, "invalid-config")
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("text", ["sample,throughput,best,valid\n1,abc,x,1\n", "sample,throughput,valid\n1,0.5,1\n",

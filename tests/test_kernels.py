@@ -262,6 +262,11 @@ def random_partial_domains(g, c, rng):
     return dom
 
 
+def full_sweep(dom, preds, succs, num_chips):
+    """Propagate from every node, with no chip edges kept from a fixpoint."""
+    return kern.propagate(dom, preds, succs, num_chips, range(len(dom)), [0] * (3 * num_chips))
+
+
 def test_propagate_matches_reference_fixpoint():
     statuses = []
     for seed in range(2000):
@@ -272,12 +277,12 @@ def test_propagate_matches_reference_fixpoint():
         g = generate_synthetic(cfg)
         c = int(rng.integers(1, 9))
         dom = random_partial_domains(g, c, rng)
-        fast, slow = dom.copy(), dom.copy()
+        fast, slow = dom.tolist(), dom.copy()
         want = reference_propagate(slow, g.edge_src, g.edge_dst, c)
-        got = kern.propagate(fast, g.topo_nodes, g.preds, g.succs, c)
+        got = full_sweep(fast, g.preds, g.succs, c)
         assert got == want, (seed, cfg, c, dom.tolist())
         if want == 0:
-            assert fast.tolist() == slow.tolist(), (seed, cfg, c, dom.tolist())
+            assert fast == slow.tolist(), (seed, cfg, c, dom.tolist())
         statuses.append(want)
     # both outcomes well represented
     assert 200 < sum(statuses) < 1800
@@ -288,7 +293,7 @@ def committed_chip_edges(dom, succs, num_chips):
     out = [0] * num_chips
     for u, s in enumerate(succs):
         for v in s:
-            du, dv = int(dom[u]), int(dom[v])
+            du, dv = dom[u], dom[v]
             if du != dv and du & (du - 1) == 0 and dv & (dv - 1) == 0:
                 out[_dom_min(du)] |= dv
     return out
@@ -300,18 +305,18 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
     # reach the same status and fixpoint, and the kept chip edges must match
     # the ones the fixpoint commits.
     seen = {"seeded": 0, "wipeouts": 0}
-    full_sweep = kern.propagate
+    seeded_sweep = kern.propagate
 
-    def shadowed(dom, order, preds, succs, num_chips, seeds=None, chip_edges=None):
+    def shadowed(dom, preds, succs, num_chips, seeds, chip_edges):
         full = dom.copy()
-        want = full_sweep(full, order, preds, succs, num_chips)
-        before = dom.tolist()
-        got = full_sweep(dom, order, preds, succs, num_chips, seeds, chip_edges)
+        want = full_sweep(full, preds, succs, num_chips)
+        before = dom.copy()
+        got = seeded_sweep(dom, preds, succs, num_chips, seeds, chip_edges)
         assert got == want, (before, seeds)
-        assert dom.tolist() == (full.tolist() if want == 0 else before), (before, seeds)
-        if want == 0 and chip_edges is not None:
+        assert dom == (full if want == 0 else before), (before, seeds)
+        if want == 0:
             assert chip_edges[:num_chips] == committed_chip_edges(dom, succs, num_chips), (before, seeds)
-        seen["seeded"] += seeds is not None
+        seen["seeded"] += 1
         seen["wipeouts"] += want
         return got
 
@@ -329,6 +334,21 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
             except (StepBudgetError, InfeasibleError):
                 pass
     assert seen["seeded"] > 2000 and seen["wipeouts"] > 200, seen
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_initial_domains_are_a_fixpoint(family):
+    # The solver runs no propagation before its first decision, so a full
+    # sweep from its initial domains must prune nothing and commit no chip
+    # edge.
+    for skip, c in itertools.product((0.25, 0.9), range(1, 9)):
+        rng = np.random.default_rng(c)
+        g = generate_synthetic(GeneratorConfig(family, int(rng.integers(2, 40)), seed=c, skip_prob=skip))
+        solver = solver_mod.ConstraintSolver(g, ChipTopology(num_chips=c))
+        dom = solver._dom.copy()
+        chip_edges = solver._chip_edges.copy()
+        assert kern.propagate(dom, g.preds, g.succs, c, range(g.num_nodes), chip_edges) == 0, (skip, c)
+        assert dom == solver._dom and chip_edges == [0] * (3 * c), (skip, c)
 
 
 def test_check_static_matches_reference_oracle():
@@ -378,9 +398,11 @@ def test_check_static_matches_reference_oracle():
 
 def test_propagate_leaves_domains_untouched_on_wipeout():
     g = generate_synthetic(GeneratorConfig("chain", 3, seed=0))
-    dom = np.array([2, 1, 3], dtype=np.int64)  # 0 -> 1 would need chip 1 -> chip 0
-    assert kern.propagate(dom, g.topo_nodes, g.preds, g.succs, 2) == 1
-    assert dom.tolist() == [2, 1, 3]
+    dom = [2, 1, 3]  # 0 -> 1 would need chip 1 -> chip 0
+    chip_edges = [0] * 6
+    assert full_sweep(dom, g.preds, g.succs, 2) == 1
+    assert kern.propagate(dom, g.preds, g.succs, 2, [0], chip_edges) == 1
+    assert dom == [2, 1, 3] and chip_edges == [0] * 6
 
 
 def test_mask_helpers_roundtrip():

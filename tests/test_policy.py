@@ -14,24 +14,24 @@ from mcmpart.policy import (
     save_checkpoint,
 )
 
-from conftest import make_graph
+from conftest import make_graph, with_config_entry
 
 
-def tiny_params(num_chips=2, seed=0, **kw):
-    return init_params(ModelConfig.tiny(num_chips=num_chips, **kw), np.random.default_rng(seed))
+def tiny_params(num_chips=2, seed=0):
+    return init_params(ModelConfig.tiny(num_chips=num_chips), np.random.default_rng(seed))
 
 
 def embeddings(g, params):
     """Per-node embeddings after all aggregation layers, at the first step."""
     feats = GraphFeatures(g, params.config)
-    _, _, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
+    _, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
     return cache[0]
 
 
 def distribution(g, params):
     """Row-stochastic chip distribution at the first step."""
     feats = GraphFeatures(g, params.config)
-    logits, _, _ = forward_policy(params, feats, feats.features(None))
+    logits, _ = forward_policy(params, feats, feats.features(None))
     return np.exp(log_softmax(logits))
 
 
@@ -139,7 +139,7 @@ def test_sample_rows_follows_distribution():
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    params = tiny_params(num_chips=3, seed=4, use_value_head=True)
+    params = tiny_params(num_chips=3, seed=4)
     params.opt_m = {k: np.full_like(v, 0.25) for k, v in params.weights.items()}
     params.opt_v = {k: np.full_like(v, 0.5) for k, v in params.weights.items()}
     params.opt_t = 7
@@ -165,6 +165,18 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(a, params)
     save_checkpoint(b, params)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_without_value_head_from_older_header_loads(tmp_path):
+    params = tiny_params(num_chips=3, seed=4)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, params)
+    assert b"use_value_head" not in path.read_bytes()
+    with_config_entry(path, "use_value_head", False)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config == params.config
+    g = generate_synthetic(GeneratorConfig("layered", 8, seed=2))
+    assert np.array_equal(distribution(g, loaded), distribution(g, params))
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):

@@ -22,10 +22,10 @@ from mcmpart.training import (
 from conftest import make_graph
 
 
-def small_setup(seed=0, num_chips=2, n=5, use_value_head=False):
+def small_setup(seed=0, num_chips=2, n=5):
     g = generate_synthetic(GeneratorConfig("random-dag", n, seed=2))
     topo = ChipTopology(num_chips=num_chips)
-    cfg = ModelConfig.tiny(num_chips=num_chips, use_value_head=use_value_head)
+    cfg = ModelConfig.tiny(num_chips=num_chips)
     params = init_params(cfg, np.random.default_rng(seed))
     feats = GraphFeatures(g, cfg)
     return g, topo, params, feats
@@ -112,9 +112,9 @@ def test_rollout_chip_count_mismatch_rejected():
 # ---- loss and update -------------------------------------------------------
 
 
-def reference_ppo_loss_and_grads(params, rollouts, advantages, rewards, cfg, feats):
+def reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats):
     """The loss written out per rollout and per step: one forward and one
-    backward for every (rollout, step), the value loss at each step 0."""
+    backward for every (rollout, step)."""
     grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
     inv_m = 1.0 / n_elems
@@ -125,7 +125,7 @@ def reference_ppo_loss_and_grads(params, rollouts, advantages, rewards, cfg, fea
         t_steps, n = ro.actions.shape
         prev = None
         for t in range(t_steps):
-            logits, value, cache = forward_policy(params, feats, feats.features(prev), need_cache=True)
+            logits, cache = forward_policy(params, feats, feats.features(prev), need_cache=True)
             lp = log_softmax(logits)
             p = np.exp(lp)
             y = ro.actions[t]
@@ -142,20 +142,14 @@ def reference_ppo_loss_and_grads(params, rollouts, advantages, rewards, cfg, fea
             dlogits = grad_lp[:, None] * (-p)
             dlogits[rows, y] += grad_lp
             dlogits += inv_m * cfg.entropy_bonus * p * (lp + ent[:, None])
-            dvalue = 0.0
-            if params.config.use_value_head and t == 0:
-                err = value - float(rewards[ridx])
-                loss += cfg.value_coeff * err * err / len(rollouts)
-                dvalue = 2.0 * cfg.value_coeff * err / len(rollouts)
-            backward_policy(params, feats, cache, dlogits, dvalue, grads)
+            backward_policy(params, feats, cache, dlogits, grads)
             prev = y
     return loss, grads
 
 
-@pytest.mark.parametrize("use_value_head", [False, True])
 @pytest.mark.parametrize("t_steps", [1, 2, 3])
-def test_shared_first_step_loss_matches_per_rollout_reference(t_steps, use_value_head):
-    g, topo, params, feats = small_setup(seed=1, n=9, use_value_head=use_value_head)
+def test_shared_first_step_loss_matches_per_rollout_reference(t_steps):
+    g, topo, params, feats = small_setup(seed=1, n=9)
     cfg = PpoConfig(refinement_steps=t_steps, clip_epsilon=0.05)
     ros = collect_rollouts(g, topo, params, feats, cfg, seed=4, count=5)
     rewards = np.array([r.reward for r in ros])
@@ -164,8 +158,8 @@ def test_shared_first_step_loss_matches_per_rollout_reference(t_steps, use_value
     for k in params.weights:  # move off the rollout's weights so ratios leave the clip band
         params.weights[k] = params.weights[k] + 0.05 * rng.standard_normal(params.weights[k].shape)
 
-    loss, grads, _ = ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
-    ref_loss, ref_grads = reference_ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
+    loss, grads, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
+    ref_loss, ref_grads = reference_ppo_loss_and_grads(params, ros, adv, cfg, feats)
     assert abs(loss - ref_loss) <= 1e-12
     assert sorted(grads) == sorted(ref_grads)
     for k in grads:
@@ -173,13 +167,12 @@ def test_shared_first_step_loss_matches_per_rollout_reference(t_steps, use_value
     assert any(np.abs(v).max() > 1e-6 for v in grads.values())
 
 
-@pytest.mark.parametrize("use_value_head", [False, True])
 @pytest.mark.parametrize("solver_mode", ["fix", "sample"])
-def test_train_round_weights_match_per_rollout_reference(monkeypatch, solver_mode, use_value_head):
+def test_train_round_weights_match_per_rollout_reference(monkeypatch, solver_mode):
     g = generate_synthetic(GeneratorConfig("layered", 16, seed=3))
     topo = ChipTopology(num_chips=2)
     cfg = PpoConfig(num_rollouts=10, num_minibatches=2, num_epochs=3, solver_mode=solver_mode)
-    model = ModelConfig.tiny(2, use_value_head=use_value_head)
+    model = ModelConfig.tiny(2)
 
     def run():
         return train_from_scratch(g, topo, cfg, SearchBudget(max_samples=20), make_analytical(),
@@ -187,8 +180,8 @@ def test_train_round_weights_match_per_rollout_reference(monkeypatch, solver_mod
 
     params, trace = run()
 
-    def reference(params, rollouts, advantages, rewards, cfg, feats):
-        loss, grads = reference_ppo_loss_and_grads(params, rollouts, advantages, rewards, cfg, feats)
+    def reference(params, rollouts, advantages, cfg, feats):
+        loss, grads = reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats)
         return loss, grads, {}
 
     monkeypatch.setattr(mcmpart.training, "ppo_loss_and_grads", reference)
@@ -199,9 +192,9 @@ def test_train_round_weights_match_per_rollout_reference(monkeypatch, solver_mod
 
 
 def expected_policy_calls(cfg: PpoConfig) -> tuple[int, int]:
-    """Forwards and backwards of one full rollout batch plus its PPO update
-    (no value head): a shared step 0 per batch and per minibatch, one pass
-    per rollout for each later step."""
+    """Forwards and backwards of one full rollout batch plus its PPO update:
+    a shared step 0 per batch and per minibatch, one pass per rollout for
+    each later step."""
     b, t, e = cfg.num_rollouts, cfg.refinement_steps, cfg.num_epochs
     m = e * cfg.num_minibatches
     return 1 + b * (t - 1) + m + e * b * (t - 1), m + e * b * (t - 1)
@@ -262,16 +255,16 @@ def test_gradients_match_finite_differences():
     for k in params.weights:
         params.weights[k] = params.weights[k] + 0.01 * rng.standard_normal(params.weights[k].shape)
 
-    _, grads, _ = ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
+    _, grads, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
     h = 1e-6
     for k in sorted(params.weights):
         flat = params.weights[k].reshape(-1)
         for i in rng.choice(flat.size, size=min(6, flat.size), replace=False):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _, _ = ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
+            lp, _, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
             flat[i] = orig - h
-            lm, _, _ = ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
+            lm, _, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[k].reshape(-1)[i]
@@ -282,14 +275,13 @@ def test_zero_advantage_leaves_only_entropy_gradient():
     g, topo, params, feats = small_setup(seed=2)
     cfg = PpoConfig(entropy_bonus=0.05)
     ros = collect_rollouts(g, topo, params, feats, cfg, seed=6)
-    rewards = np.array([r.reward for r in ros])
     zeros = np.zeros(len(ros))
 
-    _, grads_zero_adv, _ = ppo_loss_and_grads(params, ros, zeros, rewards, cfg, feats)
+    _, grads_zero_adv, _ = ppo_loss_and_grads(params, ros, zeros, cfg, feats)
     cfg_no_ent = PpoConfig(entropy_bonus=0.05, clip_epsilon=cfg.clip_epsilon)
     # with advantage 0 the surrogate term vanishes identically
     no_entropy = PpoConfig(entropy_bonus=1e-300)
-    _, grads_no_terms, _ = ppo_loss_and_grads(params, ros, zeros, rewards, no_entropy, feats)
+    _, grads_no_terms, _ = ppo_loss_and_grads(params, ros, zeros, no_entropy, feats)
     for k in grads_zero_adv:
         assert np.allclose(grads_no_terms[k], 0.0, atol=1e-12)
         # entropy-only gradient is generally nonzero
@@ -305,7 +297,7 @@ def test_huge_clip_equals_vanilla_policy_gradient():
     rng = np.random.default_rng(1)
     for k in params.weights:
         params.weights[k] = params.weights[k] + 0.02 * rng.standard_normal(params.weights[k].shape)
-    loss, _, _ = ppo_loss_and_grads(params, ros, adv, rewards, cfg, feats)
+    loss, _, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
 
     # vanilla surrogate: mean over elements of ratio * advantage
     from mcmpart.policy import forward_policy, log_softmax
@@ -316,7 +308,7 @@ def test_huge_clip_equals_vanilla_policy_gradient():
         prev = None
         for t in range(ro.actions.shape[0]):
             x = feats.features(prev)
-            logits, _, _ = forward_policy(params, feats, x)
+            logits, _ = forward_policy(params, feats, x)
             lp = log_softmax(logits)
             rows = np.arange(ro.actions.shape[1])
             ratio = np.exp(lp[rows, ro.actions[t]] - ro.old_logp[t])
@@ -414,14 +406,3 @@ def test_no_solver_ablation_rarely_valid_on_layered_graph():
     )
     assert np.mean(tr_no.valid) < 0.05
     assert np.mean(tr_yes.valid) == 1.0
-
-
-def test_value_head_training_runs():
-    g = generate_synthetic(GeneratorConfig("layered", 8, seed=5))
-    topo = ChipTopology(num_chips=2)
-    params, trace = train_from_scratch(
-        g, topo, tiny_train_cfg(), SearchBudget(max_samples=40, seed=1), make_analytical(),
-        np.random.default_rng(1), model_config=ModelConfig.tiny(2, use_value_head=True),
-    )
-    assert "val_W1" in params.weights
-    assert trace.num_samples == 40
