@@ -10,7 +10,6 @@ graphs.  Workers communicate only through checkpoint files.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,14 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GraphFormatError, InfeasibleError, InvalidConfigError, StepBudgetError
+from .errors import GraphFormatError, InvalidConfigError
 from .evaluator import Evaluator
 from .graph import ChipTopology, ComputationGraph, load_graph_file, save_graph
 from .policy import GraphFeatures, ModelConfig, PolicyParams, init_params, load_checkpoint, save_checkpoint
 from .search import SearchBudget, SearchTrace, _baseline_throughput
 from .training import PpoConfig, ppo_update, rollout, step_logp, train
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -124,7 +121,6 @@ def pretrain(
 
     Graphs are visited round-robin, one rollout batch (and PPO update) per
     visit; a checkpoint lands every ``checkpoint_every`` consumed samples.
-    A graph that errors out is skipped with a warning.
     """
     if not corpus.train:
         raise InvalidConfigError("pretraining needs a nonempty train split")
@@ -136,7 +132,6 @@ def pretrain(
 
     feats = {}
     baselines = {}
-    skip = set()
     records = []
     samples = 0
     saved_marks = 0
@@ -144,27 +139,18 @@ def pretrain(
     while samples < total_samples:
         name, g = corpus.train[gi % len(corpus.train)]
         gi += 1
-        if name in skip:
-            if len(skip) == len(corpus.train):
-                raise InfeasibleError("every training graph failed")
-            continue
         if name not in feats:
             feats[name] = GraphFeatures(g, model_config)
             baselines[name] = _baseline_throughput(g, topo, evaluator)
         batch_size = min(cfg.num_rollouts, total_samples - samples)
         first = step_logp(params, feats[name])
-        try:
-            batch = [
-                rollout(
-                    g, topo, params, cfg, rng, evaluator,
-                    feats=feats[name], baseline=baselines[name], first_logp=first,
-                )
-                for _ in range(batch_size)
-            ]
-        except (InfeasibleError, StepBudgetError) as exc:
-            log.warning("skipping graph %s: %s", name, exc)
-            skip.add(name)
-            continue
+        batch = [
+            rollout(
+                g, topo, params, cfg, rng, evaluator,
+                feats=feats[name], baseline=baselines[name], first_logp=first,
+            )
+            for _ in range(batch_size)
+        ]
         samples += batch_size
         if batch_size == cfg.num_rollouts:
             rewards = [r.reward for r in batch]

@@ -2,11 +2,12 @@
 
 The solver keeps one chip-id domain per node (bitmask), prunes domains to a
 fixpoint after every decision, and undoes the most recent decision whenever
-a domain empties (removing the failed value before retrying).  Two
-construction strategies sit on top: sampling each node's chip from a
-per-node distribution restricted to its live domain, and repairing a given
-candidate assignment by keeping the feasible entries and randomly
-completing the rest.
+a domain empties (removing the failed value before retrying).  One
+construction strategy sits on top: fail-first node order, each node's chip
+drawn from a per-node row of weights restricted to its live domain, under
+Luby restarts.  Sampling passes a distribution; repairing a candidate
+passes the candidate's one-hot rows, so a node keeps its candidate chip
+while that chip is live and otherwise draws uniformly from its domain.
 """
 
 from __future__ import annotations
@@ -130,28 +131,27 @@ class ConstraintSolver:
         """Current allowed chip ids for node ``u`` (no state mutation)."""
         return mask_to_values(self._dom[u])
 
-    def domain_mask(self, u: int) -> int:
-        return self._dom[u]
-
     def set_domain(self, u: int, values: Iterable[int]) -> int:
-        """Restrict node ``u`` to ``values``, propagate, backtrack if needed.
+        """Decide node ``u`` on the one chip in ``values``, propagate, and
+        backtrack if a domain empties; an empty ``values`` fails the node
+        outright and backtracks.
 
         Returns the new decision count: previous + 1 on success, lower if
         backtracking undid earlier decisions, and raises when backtracking
         exhausts the root alternatives.
         """
         mask = values_to_mask(values)
+        if mask & (mask - 1):
+            raise InvalidConfigError(f"a decision takes one chip, got {mask_to_values(mask)} for node {u}")
         cur = self._dom[u]
         new = cur & mask
-        singleton = mask != 0 and mask & (mask - 1) == 0
-        if singleton and new == 0:
+        if mask and not new:
             raise InvalidConfigError(
                 f"value {mask_to_values(mask)} not in current domain of node {u}"
             )
         if new == 0:
             return self._backtrack()
-        value = _lowest_bit(new) if new & (new - 1) == 0 and singleton else -1
-        self._trail.append((u, value, self._dom.copy(), self._chip_edges.copy()))
+        self._trail.append((u, _lowest_bit(new), self._dom.copy(), self._chip_edges.copy()))
         if new != cur:
             self._dom[u] = new
             status = self._propagate(u)
@@ -168,8 +168,6 @@ class ConstraintSolver:
             node, value, dom, chip_edges = self._trail.pop()
             self._dom = dom
             self._chip_edges = chip_edges
-            if value < 0:
-                continue  # re-asserted domain: nothing to retry here
             remaining = dom[node] & ~(1 << value)
             if remaining == 0:
                 continue
@@ -252,24 +250,10 @@ def solve_sample(
     step_budget: Optional[int] = None,
     max_restarts: int = MAX_RESTARTS,
 ) -> Partition:
-    """Build a valid partition by sampling each node's chip from ``P``.
-
-    Each decision takes the undecided node with the fewest live chips (fail
-    first), ties broken by a fresh random order per attempt, and draws its
-    chip from its distribution row restricted to the live domain.
-    Backtracking undoes decisions that leave some domain empty, and
-    attempts restart on the schedule of :func:`_restarting_search`.
-    """
-    n = g.num_nodes
-    rows = _validate_distribution(P, n, topo.num_chips).tolist()
-
-    def next_node(solver, perm, i):
-        return _fail_first(solver._dom, perm)
-
-    def choose(u, mask, i):
-        return (_sample_from_mask(rows[u], mask, rng),)
-
-    return _restarting_search(g, topo, rng, step_budget, max_restarts, (n + 1) // 2, next_node, choose, "sampled", "sampling")
+    """Build a valid partition by sampling each node's chip from its row of
+    ``P`` restricted to its live domain (see :func:`_restarting_search`)."""
+    rows = _validate_distribution(P, g.num_nodes, topo.num_chips).tolist()
+    return _restarting_search(g, topo, rows, rng, step_budget, max_restarts, "sampled")
 
 
 def solve_fix(
@@ -282,65 +266,52 @@ def solve_fix(
 ) -> Partition:
     """Repair a candidate assignment into a valid partition.
 
-    First pass keeps each candidate value that is still in its node's
-    domain (others leave the domain untouched); second pass fixes every
-    remaining node to a uniformly random value from its domain, traversing
-    the same random order.  Attempts restart with a fresh order on the
-    schedule of :func:`_restarting_search`.
+    Samples over the candidate's one-hot rows: a node keeps ``y[u]`` while
+    that chip is in its live domain and otherwise draws uniformly from the
+    domain.  Propagation never prunes a chip of a valid completion that
+    agrees with the decisions so far, so a valid candidate comes back
+    unchanged.
     """
-    n = g.num_nodes
     y = _checked_assignment(g, y, topo.num_chips, what="candidate")
-
-    def next_node(solver, perm, i):
-        return perm[i % n] if i < 2 * n else -1
-
-    def choose(u, mask, i):
-        if i >= n:
-            allowed = mask_to_values(mask)
-            return (allowed[rng.integers(0, len(allowed))],)
-        if mask & (1 << int(y[u])):
-            return (int(y[u]),)
-        return mask_to_values(mask)  # candidate infeasible here: re-assert the domain and move on
-
-    # a unit of two clean passes, so that an attempt without backtracking always fits
-    return _restarting_search(g, topo, rng, step_budget, max_restarts, 4 * n, next_node, choose, "repaired", "repairing")
+    rows = np.eye(topo.num_chips)[y].tolist()
+    return _restarting_search(g, topo, rows, rng, step_budget, max_restarts, "repaired")
 
 
-def _restarting_search(g, topo, rng, step_budget, max_restarts, unit, next_node, choose, source, verb) -> Partition:
-    """The restart loop both construction strategies share.
+def _restarting_search(g, topo, rows, rng, step_budget, max_restarts, source) -> Partition:
+    """Fail-first sampling of every node's chip from ``rows``, with restarts.
 
     Each attempt builds a fresh solver and draws a fresh random order of the
-    nodes.  ``next_node(solver, perm, i)`` names the node to decide given
-    that order and the live decision count ``i`` (-1 once the assignment is
-    complete), and ``choose(u, mask, i)`` the values node ``u`` is
-    restricted to.  Chronological backtracking has heavy-tailed run times,
-    so attempt k stops after ``unit * luby(k)`` decisions, the universal
-    restart schedule of Luby, Sinclair and Zuckerman (1993).  All attempts
-    share one budget of ``step_budget * max_restarts`` decisions.
+    nodes.  Each decision takes the undecided node with the fewest live
+    chips, ties broken by that order, and draws its chip from its row
+    restricted to the live domain.  Chronological backtracking has
+    heavy-tailed run times, so attempt k stops after ``ceil(N/2) * luby(k)``
+    decisions, the universal restart schedule of Luby, Sinclair and
+    Zuckerman (1993).  All attempts share one budget of
+    ``step_budget * max_restarts`` decisions.
     """
     n = g.num_nodes
     total = (STEP_BUDGET_FACTOR * max(n, 1) if step_budget is None else step_budget) * max(1, max_restarts)
+    unit = max((n + 1) // 2, 1)
     spent = 0
     attempt = 0
     while True:
         attempt += 1
-        cap = min(max(unit, 1) * _luby(attempt), total - spent)
+        cap = min(unit * _luby(attempt), total - spent)
         solver = ConstraintSolver(g, topo)
         perm = rng.permutation(n).tolist()
         steps = 0
-        i = 0
-        while (u := next_node(solver, perm, i)) >= 0:
+        while (u := _fail_first(solver._dom, perm)) >= 0:
             if steps == cap:
                 break
             steps += 1
-            i = solver.set_domain(u, choose(u, solver.domain_mask(u), i))
+            solver.set_domain(u, (_sample_from_mask(rows[u], solver._dom[u], rng),))
         else:
             part = Partition(solver.assignment(), source=source)
             _assert_valid(g, topo, part)
             return part
         spent += steps
         if spent >= total:
-            raise StepBudgetError(f"spent all {total} decisions in {attempt} attempts while {verb}")
+            raise StepBudgetError(f"spent all {total} decisions in {attempt} attempts for a {source} partition")
 
 
 def _luby(k: int) -> int:

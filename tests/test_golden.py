@@ -11,6 +11,11 @@ digests (fail-first visits nodes in another order), the skip-heavy greedy
 digest (the heuristic now shrinks the block split instead of repairing it)
 and ``solve_fix:cnn-like-40/4`` (its first repair attempt backtracked
 through 558 decisions, past the 4N cap of an attempt, so it restarts).
+The four ``solve_fix`` digests were re-recorded again when repair became
+sampling over the candidate's one-hot rows: it now shares sampling's
+fail-first node order and ceil(N/2) Luby unit instead of two passes over
+one random order, so it decides nodes in another order and draws other
+chips for the candidate entries that are not live.
 
 The evaluator digests pin every field of ``analytical_eval`` and
 ``surrogate_eval`` results (their ``to_json()``) on stored partitions, plus
@@ -53,10 +58,10 @@ GOLDEN = {
     'random_search:layered-50/4': 'acef78d42af1cdd224903a6008ad8b3b03bb323d6c93ee69592e08fff442f5d4',
     'random_search:cnn-like-40/4': '445997489a45ed93b4539f052142b59e1ccfb231b015fa1fb0a0720ecbad34b1',
     'random_search:rnn-like-30/4': '504a512d30361619dab539deae443fc6fb76860c77d2324955d9e26243110de8',
-    'solve_fix:chain-60/8': '7bb68c0648234f331c2fe0f786cd6b634f0a1cb73973cc6d1639038ee48a1b7b',
-    'solve_fix:layered-50/4': '5bf43584ecae25a79696c51f9559a0796aa8822aca06d86c8eafb81f5f71e445',
-    'solve_fix:cnn-like-40/4': '0d45fce81fc67555e9ec981817bbcbad51dc6643f1285d9103a4609b0b49c928',
-    'solve_fix:rnn-like-30/4': '68dd1a4dc1950e465dbbcb58f76f087df1b2cce3b2db230ae2c28bdd0d949a54',
+    'solve_fix:chain-60/8': 'b536a917727a46a74edb915bc30f0d7ab0d3b86d0b9f15812efab95ac97e5673',
+    'solve_fix:layered-50/4': '11596ca71d765caf671faff6140bb291fddb90a362153568aeac33618e82445a',
+    'solve_fix:cnn-like-40/4': 'a6355d87ec9c46818a7e20caecd523feaec3ff090614f084de07559930dcbcc6',
+    'solve_fix:rnn-like-30/4': '183ef29e614f74ad084e6529999f868836fc756f5f8fa9e0813a979fb1f2b09a',
 }
 
 SURROGATES = {

@@ -323,7 +323,7 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
     monkeypatch.setattr(solver_mod, "propagate", shadowed)
     for seed in range(80):  # every (family, skip_prob, chip count) pairing once
         rng = np.random.default_rng(seed)
-        skip = (0.25, 0.9)[seed % 2]
+        skip = (0.25, 0.9)[seed // 40 % 2]
         g = generate_synthetic(GeneratorConfig(FAMILIES[seed % 5], int(rng.integers(2, 40)), seed=seed, skip_prob=skip))
         c = 1 + seed % 8
         topo = ChipTopology(num_chips=c)
@@ -364,7 +364,7 @@ def test_check_static_matches_reference_oracle():
 
     for seed in range(400):  # every (family, skip_prob, chip count) pairing
         rng = np.random.default_rng(seed)
-        skip = (0.25, 0.9)[seed % 2]
+        skip = (0.25, 0.9)[seed // 40 % 2]
         g = generate_synthetic(GeneratorConfig(FAMILIES[seed % 5], int(rng.integers(2, 30)), seed=seed, skip_prob=skip))
         c = 1 + seed % 8
         n = g.num_nodes

@@ -16,6 +16,7 @@ from mcmpart import (
     uniform_distribution,
 )
 from mcmpart.errors import InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
+from mcmpart.generate import FAMILIES
 from mcmpart.solver import MAX_RESTARTS, STEP_BUDGET_FACTOR, _luby
 
 from conftest import make_graph
@@ -144,6 +145,14 @@ def test_set_domain_singleton_outside_domain_rejected(chain3, topo2):
     s.set_domain(2, (0,))  # forces everything to chip 0
     with pytest.raises(InvalidConfigError):
         s.set_domain(0, (1,))
+
+
+def test_set_domain_several_values_rejected(chain3, topo2):
+    # a decision fixes one chip; narrowing a node to a set is not a decision
+    s = ConstraintSolver(chain3, topo2)
+    with pytest.raises(InvalidConfigError):
+        s.set_domain(1, (0, 1))
+    assert s.decided_count == 0 and s.get_domain(1) == (0, 1)
 
 
 def test_decided_count_tracks_trail(chain4, topo2):
@@ -283,11 +292,12 @@ def _luby_caps(unit, total):
     return caps
 
 
-# (solver, target, verb, decisions in a unit of its restart schedule) on chain4
+# (solver, target, source tag) on chain4
 SOLVERS = [
-    (solve_sample, uniform_distribution(4, 2), "sampling", 2),
-    (solve_fix, np.array([0, 0, 1, 1]), "repairing", 16),
+    (solve_sample, uniform_distribution(4, 2), "sampled"),
+    (solve_fix, np.array([0, 0, 1, 1]), "repaired"),
 ]
+UNIT = 2  # decisions in a unit of the restart schedule: ceil(N/2) on chain4
 
 
 def test_luby_sequence():
@@ -295,36 +305,40 @@ def test_luby_sequence():
 
 
 @pytest.mark.parametrize("step_budget", [0, 3])
-@pytest.mark.parametrize("solve, target, verb", [case[:3] for case in SOLVERS])
-def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, verb, step_budget):
+@pytest.mark.parametrize("solve, target, tag", SOLVERS)
+def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, tag, step_budget):
     # the attempts share step_budget * max_restarts decisions, each up to its Luby cap
     per_attempt = _stall_every_decision(monkeypatch)
     total = 5 * step_budget
-    with pytest.raises(StepBudgetError, match=f"spent all {total} decisions in .* while {verb}"):
+    with pytest.raises(StepBudgetError, match=f"spent all {total} decisions in .* for a {tag} partition"):
         solve(chain4, topo2, target, np.random.default_rng(0), step_budget=step_budget, max_restarts=5)
-    unit = next(case[3] for case in SOLVERS if case[2] == verb)
-    assert per_attempt == _luby_caps(unit, total)
+    assert per_attempt == _luby_caps(UNIT, total)
 
 
-@pytest.mark.parametrize("solve, target, verb, unit", SOLVERS)
-def test_default_budget_totals_1024_decisions_per_node(monkeypatch, chain4, topo2, solve, target, verb, unit):
+@pytest.mark.parametrize("solve, target, tag", SOLVERS)
+def test_default_budget_totals_1024_decisions_per_node(monkeypatch, chain4, topo2, solve, target, tag):
     per_attempt = _stall_every_decision(monkeypatch)
-    with pytest.raises(StepBudgetError, match=f"spent all 4096 decisions in {len(_luby_caps(unit, 4096))} attempts"):
+    attempts = len(_luby_caps(UNIT, 4096))
+    with pytest.raises(StepBudgetError, match=f"spent all 4096 decisions in {attempts} attempts for a {tag} partition"):
         solve(chain4, topo2, target, np.random.default_rng(0))
     assert STEP_BUDGET_FACTOR * MAX_RESTARTS == 1024
-    assert per_attempt == _luby_caps(unit, 1024 * 4)
+    assert per_attempt == _luby_caps(UNIT, 1024 * 4)
 
 
 # ---- solve_fix -------------------------------------------------------------
 
 
-def test_fix_identity_on_valid_inputs(topo3, rng):
-    for seed in range(6):
-        g = generate_synthetic(GeneratorConfig("layered", 6, seed=seed))
-        for p in enumerate_valid(g, topo3):
+def test_fix_identity_on_valid_inputs(rng):
+    # Under any node order a valid candidate survives: propagation never
+    # prunes a chip of a valid completion that agrees with the decisions so
+    # far, so every node finds its candidate chip live.
+    for family, skip, c in itertools.product(FAMILIES, (0.25, 0.9), range(1, 5)):
+        g = generate_synthetic(GeneratorConfig(family, 5, seed=c, skip_prob=skip))
+        topo = ChipTopology(num_chips=c)
+        for p in enumerate_valid(g, topo):
             for _ in range(3):
-                out = solve_fix(g, topo3, p.assignment, rng)
-                assert out.assignment.tolist() == p.assignment.tolist()
+                out = solve_fix(g, topo, p.assignment, rng)
+                assert out.assignment.tolist() == p.assignment.tolist(), (family, skip, c)
 
 
 def test_fix_chain_two_flips_one_coordinate(topo2):
