@@ -199,6 +199,8 @@ def cmd_gen(args) -> int:
     sizes = tuple(_numbers(args.splits, int, "--splits"))
     if len(sizes) != 3 or min(sizes) < 0:
         raise InvalidConfigError("--splits must be train,validation,test sizes")
+    if args.nodes < 4:
+        raise InvalidConfigError(f"corpus mode draws 4 to --nodes nodes per graph, got --nodes {args.nodes}")
     rng = np.random.default_rng(seed)
     families = FAMILIES if args.family == "mixed" else (args.family,)
     named = []
@@ -311,10 +313,15 @@ def cmd_pretrain(args) -> int:
 
 def _discover_checkpoints(path) -> list[pipeline_mod.CheckpointRecord]:
     path = Path(path)
-    files = sorted(path.glob("*.ckpt"), key=lambda p: int(p.stem))
-    if not files:
+    records = []
+    for p in path.glob("*.ckpt"):
+        try:
+            records.append(pipeline_mod.CheckpointRecord(sample_count=int(p.stem), path=str(p)))
+        except ValueError:
+            raise InvalidConfigError(f"checkpoint {p} is not named <sample count>.ckpt") from None
+    if not records:
         raise InvalidConfigError(f"no checkpoints found under {path}")
-    return [pipeline_mod.CheckpointRecord(sample_count=int(p.stem), path=str(p)) for p in files]
+    return sorted(records, key=lambda r: r.sample_count)
 
 
 def cmd_validate(args) -> int:

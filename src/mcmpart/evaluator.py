@@ -127,7 +127,11 @@ def _score(g, topo, p, include_comm: bool, cfg: Optional[SurrogateConfig] = None
         rng = _partition_rng(assign, cfg.seed)
         noise = rng.standard_normal(topo.num_chips)  # drawn even at zero scale: fixed draw order
         if cfg.noise_scale > 0:
-            lat = lat * np.exp(cfg.noise_scale * noise)
+            with np.errstate(over="ignore", invalid="ignore"):
+                noisy = lat * np.exp(cfg.noise_scale * noise)
+            if not np.isfinite(noisy).all() or ((noisy == 0) & (lat > 0)).any():
+                raise InvalidConfigError(f"noise_scale {cfg.noise_scale} overflows or zeroes a chip latency")
+            lat = noisy
         headroom = cfg.memory_headroom
     mem_ok, mem = memory_check(g, topo, assign, headroom=headroom)
     static = check_static(g, assign, topo.num_chips)

@@ -174,6 +174,8 @@ def load_graph(source: Union[bytes, str, IO]) -> ComputationGraph:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed node or edge record: {exc}") from exc
+    if not any(nd.compute_cost > 0 for nd in nodes):
+        raise GraphFormatError("graph has no node with a positive cost, so its throughput is unbounded")
     return ComputationGraph(nodes, edges)
 
 

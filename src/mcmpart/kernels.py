@@ -24,8 +24,9 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
     dependency rule over chips committed so far (singleton domains).
     Every rule only removes values and removes more from smaller domains,
     so the fixpoint does not depend on the order the rules run in.  Returns
-    0 on success, 1 if some domain emptied; ``dom`` and ``chip_edges`` are
-    written only on success.
+    0 on success, 1 if some domain emptied.  After a wipe-out ``dom`` holds
+    a partial pruning and must be discarded; ``chip_edges`` is written only
+    on success.
 
     ``seeds`` names the nodes whose domains changed since the last
     fixpoint; every other domain must already be at it.  ``chip_edges`` is
@@ -36,7 +37,6 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
     changed nodes until a new chip edge appears.  A full sweep passes every
     node as a seed and ``[0] * (3 * num_chips)`` as the chip edges.
     """
-    d = dom[:]
     changed = list(seeds)  # nodes whose edges the look-ahead must see
     chips, ahead, behind = (chip_edges[i * num_chips:(i + 1) * num_chips] for i in range(3))
     while True:
@@ -48,51 +48,51 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
         stack = list(seeds)
         while stack:
             u = stack.pop()
-            du = d[u]
+            du = dom[u]
             low = du & -du
             for v in succs[u]:
-                dv = d[v]
+                dv = dom[v]
                 if dv & -dv < low:
                     dv &= -low
                     if not dv:
                         return 1
-                    d[v] = dv
+                    dom[v] = dv
                     stack.append(v)
                     changed.append(v)
         stack = list(seeds)
         while stack:
             v = stack.pop()
-            top = d[v].bit_length()
+            top = dom[v].bit_length()
             for u in preds[v]:
-                du = d[u]
+                du = dom[u]
                 if du.bit_length() > top:
                     du &= (1 << top) - 1
                     if not du:
                         return 1
-                    d[u] = du
+                    dom[u] = du
                     stack.append(u)
                     changed.append(u)
 
         # Some node is forced onto a chip >= m_bound, so every chip below
         # m_bound must stay coverable; a unique coverer is forced onto it.
         once = twice = placed = 0
-        for x in d:
+        for x in dom:
             twice |= once & x
             once |= x
             if x & (x - 1) == 0:
                 placed |= x
-        below = max([x & -x for x in d], default=0) - 1  # chips < m_bound
+        below = max([x & -x for x in dom], default=0) - 1  # chips < m_bound
         if below & ~once:
             return 1
         force = below & ~twice & ~placed
         if force:
             seeds = []
-            for i, x in enumerate(d):
+            for i, x in enumerate(dom):
                 hit = x & force
                 if hit:
                     if hit & (hit - 1):
                         return 1  # sole coverer of two chips
-                    d[i] = hit
+                    dom[i] = hit
                     seeds.append(i)
             changed += seeds
             continue
@@ -103,16 +103,16 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
         # higher chip.
         grew = False
         for u in changed:
-            du = d[u]
+            du = dom[u]
             if du & (du - 1) == 0:
                 a = du.bit_length() - 1
                 for v in succs[u]:
-                    dv = d[v]
+                    dv = dom[v]
                     if dv != du and dv & (dv - 1) == 0 and not chips[a] & dv:
                         chips[a] |= dv
                         grew = True
                 for w in preds[u]:
-                    dw = d[w]
+                    dw = dom[w]
                     if dw != du and dw & (dw - 1) == 0 and not chips[dw.bit_length() - 1] & du:
                         chips[dw.bit_length() - 1] |= du
                         grew = True
@@ -165,27 +165,26 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
             edges = [(u, v) for u in changed for v in succs[u]] + [(w, u) for u in changed for w in preds[u]]
         seeds = []
         for u, v in edges:
-            du = d[u]
-            dv = d[v]
+            du = dom[u]
+            dv = dom[v]
             if du & (du - 1) == 0:
                 if dv & (dv - 1):
                     nd = dv & ~ahead[du.bit_length() - 1]
                     if nd != dv:
                         if not nd:
                             return 1
-                        d[v] = nd
+                        dom[v] = nd
                         seeds.append(v)
             elif dv & (dv - 1) == 0:
                 nd = du & ~behind[dv.bit_length() - 1]
                 if nd != du:
                     if not nd:
                         return 1
-                    d[u] = nd
+                    dom[u] = nd
                     seeds.append(u)
         if not seeds:
             break
         changed = list(seeds)
-    dom[:] = d
     chip_edges[:] = chips + ahead + behind
     return 0
 
@@ -265,11 +264,3 @@ def _bits(mask):
 def mask_to_values(mask):
     """Decode a domain bitmask into a sorted tuple of chip ids."""
     return tuple(c for c, _ in _bits(int(mask)))
-
-
-def values_to_mask(values):
-    """Encode an iterable of chip ids into a domain bitmask."""
-    m = 0
-    for v in values:
-        m |= 1 << int(v)
-    return m

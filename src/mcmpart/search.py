@@ -38,7 +38,7 @@ class SaConfig:
     def __post_init__(self):
         if not (0.0 < self.mutation_fraction <= 1.0):
             raise InvalidConfigError("mutation_fraction must lie in (0, 1]")
-        if self.init_temp < 0 or not (0.0 < self.cooling_rate <= 1.0):
+        if not 0.0 <= self.init_temp < math.inf or not (0.0 < self.cooling_rate <= 1.0):
             raise InvalidConfigError("bad annealing schedule")
 
 

@@ -15,16 +15,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import GraphFormatError, InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
 from .graph import ChipTopology, ComputationGraph
-from .kernels import check_static_kernel, mask_to_values, propagate, values_to_mask
-
-STEP_BUDGET_FACTOR = 64
-MAX_RESTARTS = 16
+from .kernels import check_static_kernel, mask_to_values, propagate
 
 VIOLATION_NAMES = {1: "backward-edge", 2: "skipped-chip", 3: "chip-dependency"}
 
@@ -131,31 +128,24 @@ class ConstraintSolver:
         """Current allowed chip ids for node ``u`` (no state mutation)."""
         return mask_to_values(self._dom[u])
 
-    def set_domain(self, u: int, values: Iterable[int]) -> int:
-        """Decide node ``u`` on the one chip in ``values``, propagate, and
-        backtrack if a domain empties; an empty ``values`` fails the node
-        outright and backtracks.
+    def set_domain(self, u: int, chip: int) -> int:
+        """Decide node ``u`` on ``chip``, propagate, and backtrack if a domain
+        empties.
 
         Returns the new decision count: previous + 1 on success, lower if
         backtracking undid earlier decisions, and raises when backtracking
-        exhausts the root alternatives.
+        exhausts the root alternatives.  The trail entry pushed here is the
+        only undo: a failed propagation leaves ``_dom`` and ``_chip_edges``
+        to be replaced by the entry's copies.
         """
-        mask = values_to_mask(values)
-        if mask & (mask - 1):
-            raise InvalidConfigError(f"a decision takes one chip, got {mask_to_values(mask)} for node {u}")
         cur = self._dom[u]
-        new = cur & mask
-        if mask and not new:
-            raise InvalidConfigError(
-                f"value {mask_to_values(mask)} not in current domain of node {u}"
-            )
-        if new == 0:
-            return self._backtrack()
-        self._trail.append((u, _lowest_bit(new), self._dom.copy(), self._chip_edges.copy()))
+        new = 1 << chip
+        if not cur & new:
+            raise InvalidConfigError(f"chip {chip} not in current domain {mask_to_values(cur)} of node {u}")
+        self._trail.append((u, chip, self._dom.copy(), self._chip_edges.copy()))
         if new != cur:
             self._dom[u] = new
-            status = self._propagate(u)
-            if status != 0:
+            if self._propagate(u):
                 return self._backtrack()
         return len(self._trail)
 
@@ -247,13 +237,12 @@ def solve_sample(
     topo: ChipTopology,
     P: np.ndarray,
     rng: np.random.Generator,
-    step_budget: Optional[int] = None,
-    max_restarts: int = MAX_RESTARTS,
+    max_decisions: Optional[int] = None,
 ) -> Partition:
     """Build a valid partition by sampling each node's chip from its row of
     ``P`` restricted to its live domain (see :func:`_restarting_search`)."""
     rows = _validate_distribution(P, g.num_nodes, topo.num_chips).tolist()
-    return _restarting_search(g, topo, rows, rng, step_budget, max_restarts, "sampled")
+    return _restarting_search(g, topo, rows, rng, max_decisions, "sampled")
 
 
 def solve_fix(
@@ -261,8 +250,7 @@ def solve_fix(
     topo: ChipTopology,
     y,
     rng: np.random.Generator,
-    step_budget: Optional[int] = None,
-    max_restarts: int = MAX_RESTARTS,
+    max_decisions: Optional[int] = None,
 ) -> Partition:
     """Repair a candidate assignment into a valid partition.
 
@@ -274,10 +262,10 @@ def solve_fix(
     """
     y = _checked_assignment(g, y, topo.num_chips, what="candidate")
     rows = np.eye(topo.num_chips)[y].tolist()
-    return _restarting_search(g, topo, rows, rng, step_budget, max_restarts, "repaired")
+    return _restarting_search(g, topo, rows, rng, max_decisions, "repaired")
 
 
-def _restarting_search(g, topo, rows, rng, step_budget, max_restarts, source) -> Partition:
+def _restarting_search(g, topo, rows, rng, max_decisions, source) -> Partition:
     """Fail-first sampling of every node's chip from ``rows``, with restarts.
 
     Each attempt builds a fresh solver and draws a fresh random order of the
@@ -286,11 +274,11 @@ def _restarting_search(g, topo, rows, rng, step_budget, max_restarts, source) ->
     restricted to the live domain.  Chronological backtracking has
     heavy-tailed run times, so attempt k stops after ``ceil(N/2) * luby(k)``
     decisions, the universal restart schedule of Luby, Sinclair and
-    Zuckerman (1993).  All attempts share one budget of
-    ``step_budget * max_restarts`` decisions.
+    Zuckerman (1993).  All attempts share one budget of ``max_decisions``
+    decisions, ``1024 * N`` by default.
     """
     n = g.num_nodes
-    total = (STEP_BUDGET_FACTOR * max(n, 1) if step_budget is None else step_budget) * max(1, max_restarts)
+    total = 1024 * max(n, 1) if max_decisions is None else max_decisions
     unit = max((n + 1) // 2, 1)
     spent = 0
     attempt = 0
@@ -304,7 +292,7 @@ def _restarting_search(g, topo, rows, rng, step_budget, max_restarts, source) ->
             if steps == cap:
                 break
             steps += 1
-            solver.set_domain(u, (_sample_from_mask(rows[u], solver._dom[u], rng),))
+            solver.set_domain(u, _sample_from_mask(rows[u], solver._dom[u], rng))
         else:
             part = Partition(solver.assignment(), source=source)
             _assert_valid(g, topo, part)

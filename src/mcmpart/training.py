@@ -47,6 +47,8 @@ class PpoConfig:
     def __post_init__(self):
         if min(self.num_rollouts, self.num_minibatches, self.num_epochs, self.refinement_steps) < 1:
             raise InvalidConfigError("PPO counts must be positive")
+        if not all(math.isfinite(v) for v in (self.clip_epsilon, self.learning_rate, self.entropy_bonus, self.baseline_decay)):
+            raise InvalidConfigError("clip_epsilon, learning_rate, entropy_bonus and baseline_decay must be finite")
         if self.clip_epsilon <= 0 or self.learning_rate <= 0:
             raise InvalidConfigError("clip_epsilon and learning_rate must be positive")
         if self.solver_mode not in ("fix", "sample"):
@@ -64,10 +66,15 @@ class Rollout:
     throughput: float = 0.0  # the evaluator's score of the partition; 0 unless valid
 
 
-def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-node chip log-probs of one refinement step given the previous step's actions."""
-    logits, _ = forward_policy(params, feats, feats.features(prev))
-    return log_softmax(logits)
+def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndarray] = None, need_cache: bool = False):
+    """Per-node chip log-probs of one refinement step given the previous
+    step's actions, and the forward cache (``None`` unless ``need_cache``).
+
+    The rollout's draws and the PPO replay both come from here, so the
+    replay recomputes exactly what the rollout sampled from.
+    """
+    logits, cache = forward_policy(params, feats, feats.features(prev), need_cache=need_cache)
+    return log_softmax(logits), cache
 
 
 def rollout(
@@ -77,54 +84,68 @@ def rollout(
     cfg: PpoConfig,
     rng: np.random.Generator,
     evaluator: Evaluator,
-    feats: Optional[GraphFeatures] = None,
-    baseline: Optional[float] = None,
+    feats: GraphFeatures,
+    baseline: float,
+    first_logp: np.ndarray,
     use_solver: bool = True,
-    first_logp: Optional[np.ndarray] = None,
 ) -> Rollout:
     """One sample: refine, repair through the solver, evaluate, score.
 
-    Step 0 sees the same features for every rollout, so a caller drawing
-    several rollouts with the same parameters can pass ``step_logp(params,
-    feats)`` once as ``first_logp``; the draws are unchanged.
+    ``first_logp`` is step 0's ``step_logp(params, feats)``, which
+    :func:`rollouts` computes once per batch; ``baseline`` is the greedy
+    throughput that normalizes the reward.
     """
     if topo.num_chips != params.config.num_chips:
-        raise InvalidConfigError(
-            f"model built for {params.config.num_chips} chips, topology has {topo.num_chips}"
-        )
-    feats = feats or GraphFeatures(g, params.config)
-    if baseline is None:
-        baseline = _baseline_throughput(g, topo, evaluator)
+        raise InvalidConfigError(f"model built for {params.config.num_chips} chips, topology has {topo.num_chips}")
     n = g.num_nodes
     t_steps = cfg.refinement_steps
     actions = np.zeros((t_steps, n), dtype=np.int64)
     old_logp = np.zeros((t_steps, n))
-    prev = None
-    P = None
+    lp = first_logp
     for t in range(t_steps):
-        lp = first_logp if t == 0 and first_logp is not None else step_logp(params, feats, prev)
+        if t:
+            lp, _ = step_logp(params, feats, actions[t - 1])
         P = np.exp(lp)
         y = sample_rows(P, rng)
         actions[t] = y
-        old_logp[t] = lp[np.arange(n), y] if n else np.zeros(0)
-        prev = y
+        old_logp[t] = lp[np.arange(n), y]
 
-    y_final = actions[-1] if t_steps else np.zeros(n, dtype=np.int64)
     if use_solver:
         try:
             if cfg.solver_mode == "sample":
                 part = solve_sample(g, topo, P, rng)
             else:
-                part = solve_fix(g, topo, y_final, rng)
+                part = solve_fix(g, topo, y, rng)
         except (InfeasibleError, StepBudgetError):
             return Rollout(actions, old_logp, 0.0, None, valid=False, infeasible=True)
     else:
-        part = Partition(y_final.copy(), source="sampled", valid=False)
+        part = Partition(y, source="sampled", valid=False)
 
     result = evaluator(g, topo, part)
     part.valid = bool(result.valid)
     reward = result.throughput / baseline if result.valid and math.isfinite(result.throughput) else 0.0
     return Rollout(actions, old_logp, reward, part, valid=bool(result.valid), throughput=result.throughput)
+
+
+def rollouts(
+    g: ComputationGraph,
+    topo: ChipTopology,
+    params: PolicyParams,
+    cfg: PpoConfig,
+    rng: np.random.Generator,
+    evaluator: Evaluator,
+    feats: GraphFeatures,
+    baseline: float,
+    count: int,
+    use_solver: bool = True,
+) -> list[Rollout]:
+    """``count`` rollouts under the same parameters.
+
+    Step 0 sees the same features in every rollout, so its pass runs once
+    for the whole batch; the draws are those of ``count`` separate passes.
+    """
+    first, _ = step_logp(params, feats)
+    return [rollout(g, topo, params, cfg, rng, evaluator, feats, baseline, first, use_solver) for _ in range(count)]
 
 
 def _clipped_step(lp: np.ndarray, y: np.ndarray, old_lp: np.ndarray, adv: float, inv_m: float, cfg: PpoConfig):
@@ -158,11 +179,12 @@ def ppo_loss_and_grads(
     """Clipped-surrogate loss plus entropy bonus.
 
     Returns (loss, grads, stats): stats holds the surrogate and entropy
-    terms of the loss, and grads cover every weight array.  The
-    replayed forwards condition on the stored actions, so the computation
-    matches the rollout exactly.  Step 0 has the same input in every
-    rollout, so it runs one forward and one backward for the whole
-    minibatch, with the rollouts' step-0 gradients summed.
+    terms of the loss, and grads cover every weight array.  The replay
+    conditions on the stored actions through :func:`step_logp`, so it
+    recomputes what the rollouts sampled from.  Each forward pass serves
+    every rollout that shares its input: step 0 runs once for the whole
+    minibatch, with the rollouts' gradients summed into one backward, and
+    each later step runs once per rollout.
     """
     grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
@@ -171,29 +193,20 @@ def ppo_loss_and_grads(
     inv_m = 1.0 / n_elems
     loss_sur = 0.0
     loss_ent = 0.0
-
-    logits, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
-    lp0 = log_softmax(logits)
-    dlogits0 = np.zeros_like(lp0)
-    for ridx, ro in enumerate(rollouts):
-        sur, ent, dlogits = _clipped_step(lp0, ro.actions[0], ro.old_logp[0], float(advantages[ridx]), inv_m, cfg)
-        loss_sur -= inv_m * sur
-        loss_ent -= inv_m * cfg.entropy_bonus * ent
-        dlogits0 += dlogits
-    backward_policy(params, feats, cache, dlogits0, grads)
-
-    for ridx, ro in enumerate(rollouts):
-        for t in range(1, ro.actions.shape[0]):
-            x = feats.features(ro.actions[t - 1])
-            logits, cache = forward_policy(params, feats, x, need_cache=True)
-            lp = log_softmax(logits)
-            sur, ent, dlogits = _clipped_step(lp, ro.actions[t], ro.old_logp[t], float(advantages[ridx]), inv_m, cfg)
+    # (previous actions, step, rollout indices) of every forward pass
+    passes = [(None, 0, range(len(rollouts)))]
+    passes += [(ro.actions[t - 1], t, (i,)) for i, ro in enumerate(rollouts) for t in range(1, ro.actions.shape[0])]
+    for prev, t, members in passes:
+        lp, cache = step_logp(params, feats, prev, need_cache=True)
+        dlogits = np.zeros_like(lp)
+        for i in members:
+            ro = rollouts[i]
+            sur, ent, d = _clipped_step(lp, ro.actions[t], ro.old_logp[t], float(advantages[i]), inv_m, cfg)
             loss_sur -= inv_m * sur
             loss_ent -= inv_m * cfg.entropy_bonus * ent
-            backward_policy(params, feats, cache, dlogits, grads)
-    loss = loss_sur + loss_ent
-    stats = {"surrogate": loss_sur, "entropy": loss_ent}
-    return loss, grads, stats
+            dlogits += d
+        backward_policy(params, feats, cache, dlogits, grads)
+    return loss_sur + loss_ent, grads, {"surrogate": loss_sur, "entropy": loss_ent}
 
 
 def adam_step(params: PolicyParams, grads: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -273,14 +286,8 @@ def train(
     samples = 0
     while samples < budget.max_samples:
         batch_size = min(cfg.num_rollouts, budget.max_samples - samples)
-        first = step_logp(params, feats)
-        batch = []
-        for _ in range(batch_size):
-            ro = rollout(
-                g, topo, params, cfg, rng, evaluator,
-                feats=feats, baseline=baseline, use_solver=use_solver, first_logp=first,
-            )
-            batch.append(ro)
+        batch = rollouts(g, topo, params, cfg, rng, evaluator, feats, baseline, batch_size, use_solver)
+        for ro in batch:
             trace.record(ro, ro.partition)
         samples += batch_size
         if batch_size == cfg.num_rollouts:

@@ -255,13 +255,60 @@ def test_search_and_s2t_roundtrip(tmp_path):
     pytest.param(["bench", "s2t", "--out", "o.csv"], id="s2t-no-trace"),
     pytest.param(["bench", "s2t", "--trace", "t.csv", "--targets", "1.1,abc", "--out", "o.csv"], id="s2t-bad-target"),
     pytest.param(["bench", "s2t", "--trace", "t.csv", "--targets", "nan", "--out", "o.csv"], id="s2t-nan-target"),
+    pytest.param(["gen", "--count", 2, "--nodes", 2, "--out-dir", "d", "--manifest", "m.json", "--splits", "1,1,0"],
+                 id="gen-corpus-too-few-nodes"),
+    pytest.param(["pretrain", "--corpus", "corpus.json", "--chips", 2, "--samples", 4, "--checkpoint-every", 0,
+                  "--checkpoint-out", "ck"], id="pretrain-zero-checkpoint-every"),
+    pytest.param(["pretrain", "--corpus", "corpus.json", "--chips", 2, "--samples", 4, "--checkpoint-every", -1,
+                  "--checkpoint-out", "ck"], id="pretrain-negative-checkpoint-every"),
+    pytest.param(["pretrain", "--corpus", "corpus.json", "--chips", 2, "--samples", 0, "--checkpoint-every", 2,
+                  "--checkpoint-out", "ck"], id="pretrain-zero-samples"),
+    pytest.param(["validate", "--corpus", "corpus.json", "--checkpoints", "named", "--chips", 2, "--out", "o.csv"],
+                 id="validate-non-integer-checkpoint-name"),
+    pytest.param(["train", "--graph", "g.json", "--chips", 2, "--samples", 4, "--config", "lr.cfg",
+                  "--checkpoint-out", "ck", "--trace-out", "o.csv"], id="train-nan-learning-rate"),
+    pytest.param(["train", "--graph", "g.json", "--chips", 2, "--samples", 4, "--config", "ent.cfg",
+                  "--checkpoint-out", "ck", "--trace-out", "o.csv"], id="train-infinite-entropy-bonus"),
+    pytest.param(["search", "--strategy", "sa", "--graph", "g.json", "--chips", 2, "--budget", 4, "--config", "temp.cfg",
+                  "--out", "o.csv"], id="sa-nan-init-temp"),
+    pytest.param(["eval", "--graph", "g.json", "--partition", "p.json", "--chips", 2, "--evaluator", "surrogate",
+                  "--surrogate-config", "noise.json", "--out", "o.csv"], id="surrogate-overflowing-noise"),
 ])
 def test_missing_or_malformed_argument_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "t.csv").write_text("sample,throughput,best,valid\n1,0.5,0.5,1\n")
+    assert run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", "g.json"]) == 0
+    (tmp_path / "p.json").write_text(Partition(np.array([0, 0, 1, 1]), source="sampled").to_json())
+    assert run(["gen", "--nodes", 6, "--count", 2, "--seed", 1, "--out-dir", "graphs", "--manifest", "corpus.json",
+                "--splits", "1,1,0"]) == 0
+    (tmp_path / "named").mkdir()
+    save_checkpoint(tmp_path / "named" / "best.ckpt", init_params(ModelConfig.tiny(2), np.random.default_rng(0)))
+    for name, text in [("lr.cfg", "lr=nan"), ("ent.cfg", "entropy-bonus=inf"), ("temp.cfg", "init-temp=nan"),
+                       ("noise.json", '{"noise_scale": 1000}')]:
+        (tmp_path / name).write_text(text + "\n")
+    capsys.readouterr()
     assert run(argv) == 1
     _one_line_error(capsys, "invalid-config")
-    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "m.json").exists()
+    assert not any((tmp_path / f).exists() for f in ("o.csv", "m.json", "ck"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--graph", "g.json", "--partition", "p.json", "--chips", 2, "--out", "o.csv"],
+    ["search", "--strategy", "random", "--graph", "g.json", "--chips", 2, "--budget", 4, "--out", "o.csv"],
+    ["train", "--graph", "g.json", "--chips", 2, "--samples", 4, "--trace-out", "o.csv"],
+], ids=["eval", "search", "train"])
+def test_graph_without_positive_cost_is_a_parse_error(tmp_path, capsys, monkeypatch, argv):
+    # every chip latency would be 0, so the throughput would be infinite
+    monkeypatch.chdir(tmp_path)
+    run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", "g.json"])
+    doc = json.loads((tmp_path / "g.json").read_text())
+    for node in doc["nodes"]:
+        node["cost"] = 0.0
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    (tmp_path / "p.json").write_text(Partition(np.array([0, 0, 1, 1]), source="sampled").to_json())
+    assert run(argv) == 1
+    _one_line_error(capsys, "parse-error")
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("text", ["sample,throughput,best,valid\n1,abc,x,1\n", "sample,throughput,valid\n1,0.5,1\n",

@@ -302,8 +302,9 @@ def committed_chip_edges(dom, succs, num_chips):
 def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
     # The solver seeds each call with the node it just narrowed and the chip
     # edges it keeps on its trail; a full sweep from the same domains must
-    # reach the same status and fixpoint, and the kept chip edges must match
-    # the ones the fixpoint commits.
+    # reach the same status, and on success the same fixpoint, with kept
+    # chip edges that match the ones the fixpoint commits.  After a
+    # wipe-out the solver discards the domains, so they are not compared.
     seen = {"seeded": 0, "wipeouts": 0}
     seeded_sweep = kern.propagate
 
@@ -313,8 +314,8 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
         before = dom.copy()
         got = seeded_sweep(dom, preds, succs, num_chips, seeds, chip_edges)
         assert got == want, (before, seeds)
-        assert dom == (full if want == 0 else before), (before, seeds)
         if want == 0:
+            assert dom == full, (before, seeds)
             assert chip_edges[:num_chips] == committed_chip_edges(dom, succs, num_chips), (before, seeds)
         seen["seeded"] += 1
         seen["wipeouts"] += want
@@ -330,7 +331,7 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
         n = g.num_nodes
         for solve, target in ((solve_sample, uniform_distribution(n, c)), (solve_fix, rng.integers(0, c, n))):
             try:
-                solve(g, topo, target, rng, step_budget=2 * n, max_restarts=2)
+                solve(g, topo, target, rng, max_decisions=4 * n)
             except (StepBudgetError, InfeasibleError):
                 pass
     assert seen["seeded"] > 2000 and seen["wipeouts"] > 200, seen
@@ -396,22 +397,11 @@ def test_check_static_matches_reference_oracle():
         assert kern.check_static_kernel(np.arange(c), g.edge_src, g.edge_dst, c)[0] == (3 if c > 2 else 0)
 
 
-def test_propagate_leaves_domains_untouched_on_wipeout():
-    g = generate_synthetic(GeneratorConfig("chain", 3, seed=0))
-    dom = [2, 1, 3]  # 0 -> 1 would need chip 1 -> chip 0
-    chip_edges = [0] * 6
-    assert full_sweep(dom, g.preds, g.succs, 2) == 1
-    assert kern.propagate(dom, g.preds, g.succs, 2, [0], chip_edges) == 1
-    assert dom == [2, 1, 3] and chip_edges == [0] * 6
-
-
 def test_mask_helpers_roundtrip():
     assert kern.mask_to_values(0) == ()
     assert kern.mask_to_values(0b1011) == (0, 1, 3)
-    assert kern.values_to_mask((0, 1, 3)) == 0b1011
-    assert kern.values_to_mask(()) == 0
     for mask in (1, 7, 42, (1 << 40) | 5):
-        assert kern.values_to_mask(kern.mask_to_values(mask)) == mask
+        assert sum(1 << c for c in kern.mask_to_values(mask)) == mask
 
 
 def test_chip_count_cap_enforced():

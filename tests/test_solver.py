@@ -17,7 +17,8 @@ from mcmpart import (
 )
 from mcmpart.errors import InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
 from mcmpart.generate import FAMILIES
-from mcmpart.solver import MAX_RESTARTS, STEP_BUDGET_FACTOR, _luby
+from mcmpart.kernels import propagate
+from mcmpart.solver import _luby
 
 from conftest import make_graph
 
@@ -75,7 +76,7 @@ def test_get_domain_fresh():
 def test_get_domain_after_singleton():
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     s = ConstraintSolver(g, ChipTopology(num_chips=4))
-    s.set_domain(2, (2,))
+    s.set_domain(2, 2)
     assert s.get_domain(2) == (2,)
 
 
@@ -83,7 +84,7 @@ def test_chain_upper_bound_propagates(topo2):
     # edge 0 -> 1 and chip(1) = 0 force chip(0) = 0
     g = make_graph(2, [(0, 1)])
     s = ConstraintSolver(g, topo2)
-    s.set_domain(1, (0,))
+    s.set_domain(1, 0)
     assert s.get_domain(0) == (0,)
 
 
@@ -93,7 +94,7 @@ def test_chain_decision_with_no_completion_backtracks(topo3):
     g = make_graph(3, [(0, 1), (1, 2)])
     assert brute_force_completions(g, 3, {0: 1})[0] == set()
     s = ConstraintSolver(g, topo3)
-    i = s.set_domain(0, (1,))
+    i = s.set_domain(0, 1)
     assert i == 0  # decision undone
     assert 1 not in s.get_domain(0)
     # the surviving state still covers every truly achievable value
@@ -104,10 +105,10 @@ def test_chain_decision_with_no_completion_backtracks(topo3):
 
 def test_diamond_propagation_matches_brute_force(diamond, topo3):
     s = ConstraintSolver(diamond, topo3)
-    i = s.set_domain(1, (0,))
+    i = s.set_domain(1, 0)
     assert i == 1
     assert s.get_domain(0) == (0,)  # 0 -> 1 forces chip(0) <= 0
-    i = s.set_domain(2, (2,))
+    i = s.set_domain(2, 2)
     # placing node 2 on chip 2 leaves chip 1 uncoverable: brute force agrees
     assert brute_force_completions(diamond, 3, {1: 0, 2: 2})[0] == set()
     comp = brute_force_completions(diamond, 3, {1: 0})
@@ -115,51 +116,44 @@ def test_diamond_propagation_matches_brute_force(diamond, topo3):
         assert comp[u] <= set(s.get_domain(u))
 
 
-def test_set_domain_empty_values_backtracks(topo2):
-    g = make_graph(2, [])  # independent nodes keep an alternative open
-    s = ConstraintSolver(g, topo2)
-    i = s.set_domain(0, (0,))
-    assert i == 1
-    i = s.set_domain(1, ())
-    assert i == 0
-    assert s.get_domain(0) == (1,)  # failed value removed, alternative kept
-
-
-def test_set_domain_empty_exhausts_root(chain3, topo2):
-    # chip(node0) = 0 is forced on a chain, so failing its only value proves
-    # the branch unrecoverable
-    s = ConstraintSolver(chain3, topo2)
-    s.set_domain(0, (0,))
-    with pytest.raises(InfeasibleError):
-        s.set_domain(1, ())
-
-
-def test_set_domain_empty_at_root_is_infeasible(chain3, topo2):
-    s = ConstraintSolver(chain3, topo2)
-    with pytest.raises(InfeasibleError):
-        s.set_domain(0, ())
-
-
 def test_set_domain_singleton_outside_domain_rejected(chain3, topo2):
     s = ConstraintSolver(chain3, topo2)
-    s.set_domain(2, (0,))  # forces everything to chip 0
+    s.set_domain(2, 0)  # forces everything to chip 0
     with pytest.raises(InvalidConfigError):
-        s.set_domain(0, (1,))
+        s.set_domain(0, 1)
 
 
-def test_set_domain_several_values_rejected(chain3, topo2):
-    # a decision fixes one chip; narrowing a node to a set is not a decision
-    s = ConstraintSolver(chain3, topo2)
-    with pytest.raises(InvalidConfigError):
-        s.set_domain(1, (0, 1))
-    assert s.decided_count == 0 and s.get_domain(1) == (0, 1)
+def test_failed_decision_is_undone_by_its_trail_entry(rng):
+    # propagate prunes in place and leaves a wiped-out state half pruned, so
+    # a failed decision is undone from the copies on its trail entry alone:
+    # the state after it equals the state before it with the failed chip
+    # pruned
+    undone = 0
+    for k in range(40):
+        g = generate_synthetic(GeneratorConfig(FAMILIES[k % 5], int(rng.integers(4, 16)), seed=k, skip_prob=0.9))
+        c = int(rng.integers(2, 6))
+        s = ConstraintSolver(g, ChipTopology(num_chips=c))
+        while (live := [u for u in range(g.num_nodes) if len(s.get_domain(u)) > 1]):
+            u = live[rng.integers(0, len(live))]
+            chip = s.get_domain(u)[rng.integers(0, len(s.get_domain(u)))]
+            dom, chip_edges, count = s._dom.copy(), s._chip_edges.copy(), s.decided_count
+            try:
+                got = s.set_domain(u, chip)
+            except InfeasibleError:
+                break
+            if got == count:  # this decision failed and its alternative held
+                dom[u] &= ~(1 << chip)
+                assert propagate(dom, g.preds, g.succs, c, (u,), chip_edges) == 0
+                assert (s._dom, s._chip_edges) == (dom, chip_edges), (k, u, chip)
+                undone += 1
+    assert undone >= 20, undone
 
 
 def test_decided_count_tracks_trail(chain4, topo2):
     s = ConstraintSolver(chain4, topo2)
-    assert s.set_domain(0, (0,)) == 1
-    assert s.set_domain(1, (0,)) == 2
-    assert s.set_domain(2, (1,)) == 3
+    assert s.set_domain(0, 0) == 1
+    assert s.set_domain(1, 0) == 2
+    assert s.set_domain(2, 1) == 3
 
 
 # ---- check_static ----------------------------------------------------------
@@ -262,7 +256,7 @@ def test_sample_rejects_bad_distribution(chain4, topo2):
 
 def test_sample_step_budget(chain4, topo2):
     with pytest.raises(StepBudgetError):
-        solve_sample(chain4, topo2, uniform_distribution(4, 2), np.random.default_rng(0), step_budget=0)
+        solve_sample(chain4, topo2, uniform_distribution(4, 2), np.random.default_rng(0), max_decisions=0)
 
 
 def _stall_every_decision(monkeypatch):
@@ -275,7 +269,7 @@ def _stall_every_decision(monkeypatch):
         per_attempt.append(0)
         init(self, *args)
 
-    def stalled_set_domain(self, u, values):
+    def stalled_set_domain(self, u, chip):
         per_attempt[-1] += 1
         return 0
 
@@ -304,15 +298,14 @@ def test_luby_sequence():
     assert [_luby(k) for k in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
-@pytest.mark.parametrize("step_budget", [0, 3])
+@pytest.mark.parametrize("max_decisions", [0, 3, 15])
 @pytest.mark.parametrize("solve, target, tag", SOLVERS)
-def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, tag, step_budget):
-    # the attempts share step_budget * max_restarts decisions, each up to its Luby cap
+def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, tag, max_decisions):
+    # the attempts share max_decisions decisions, each up to its Luby cap
     per_attempt = _stall_every_decision(monkeypatch)
-    total = 5 * step_budget
-    with pytest.raises(StepBudgetError, match=f"spent all {total} decisions in .* for a {tag} partition"):
-        solve(chain4, topo2, target, np.random.default_rng(0), step_budget=step_budget, max_restarts=5)
-    assert per_attempt == _luby_caps(UNIT, total)
+    with pytest.raises(StepBudgetError, match=f"spent all {max_decisions} decisions in .* for a {tag} partition"):
+        solve(chain4, topo2, target, np.random.default_rng(0), max_decisions=max_decisions)
+    assert per_attempt == _luby_caps(UNIT, max_decisions)
 
 
 @pytest.mark.parametrize("solve, target, tag", SOLVERS)
@@ -321,7 +314,6 @@ def test_default_budget_totals_1024_decisions_per_node(monkeypatch, chain4, topo
     attempts = len(_luby_caps(UNIT, 4096))
     with pytest.raises(StepBudgetError, match=f"spent all 4096 decisions in {attempts} attempts for a {tag} partition"):
         solve(chain4, topo2, target, np.random.default_rng(0))
-    assert STEP_BUDGET_FACTOR * MAX_RESTARTS == 1024
     assert per_attempt == _luby_caps(UNIT, 1024 * 4)
 
 
@@ -398,7 +390,7 @@ def test_propagation_never_prunes_reachable_values(rng):
             guard += 1
             u = int(order[i])
             dom = solver.get_domain(u)
-            i = solver.set_domain(u, (dom[rng.integers(0, len(dom))],))
+            i = solver.set_domain(u, dom[rng.integers(0, len(dom))])
             fixed = {int(order[j]): solver.get_domain(int(order[j]))[0] for j in range(i)}
             comp = brute_force_completions(g, c, fixed)
             for node in range(n):

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-import mcmpart.pipeline
 import mcmpart.training
 from mcmpart import ChipTopology, GeneratorConfig, analytical_eval, enumerate_valid, generate_synthetic
 from mcmpart.evaluator import make_analytical
 from mcmpart.pipeline import Corpus, pretrain, zero_shot
 from mcmpart.policy import GraphFeatures, ModelConfig, backward_policy, forward_policy, init_params, log_softmax
-from mcmpart.search import SearchBudget, greedy_heuristic
+from mcmpart.search import SearchBudget, _baseline_throughput, greedy_heuristic
 from mcmpart.training import (
     PpoConfig,
     adam_step,
     ppo_loss_and_grads,
     ppo_update,
     rollout,
+    rollouts,
     step_logp,
     train,
     train_from_scratch,
@@ -31,10 +31,15 @@ def small_setup(seed=0, num_chips=2, n=5):
     return g, topo, params, feats
 
 
-def collect_rollouts(g, topo, params, feats, cfg, seed, count=4):
-    rng = np.random.default_rng(seed)
+def collect_rollouts(g, topo, params, feats, cfg, seed, count=4, use_solver=True):
     ev = make_analytical()
-    return [rollout(g, topo, params, cfg, rng, ev, feats=feats) for _ in range(count)]
+    rng = np.random.default_rng(seed)
+    return rollouts(g, topo, params, cfg, rng, ev, feats, _baseline_throughput(g, topo, ev), count, use_solver)
+
+
+def one_rollout(g, topo, params, cfg, seed, feats=None, use_solver=True):
+    feats = feats or GraphFeatures(g, params.config)
+    return collect_rollouts(g, topo, params, feats, cfg, seed, count=1, use_solver=use_solver)[0]
 
 
 # ---- rollout ---------------------------------------------------------------
@@ -45,7 +50,7 @@ def test_rollout_single_chip_reward_is_one():
     topo = ChipTopology(num_chips=1)
     cfg = ModelConfig.tiny(num_chips=1)
     params = init_params(cfg, np.random.default_rng(0))
-    ro = rollout(g, topo, params, PpoConfig(), np.random.default_rng(0), make_analytical())
+    ro = one_rollout(g, topo, params, PpoConfig(), 0)
     assert ro.valid
     assert ro.partition.assignment.tolist() == [0] * 7
     assert ro.reward == 1.0
@@ -53,7 +58,7 @@ def test_rollout_single_chip_reward_is_one():
 
 def test_rollout_reward_matches_independent_recomputation():
     g, topo, params, feats = small_setup(n=8)
-    ro = rollout(g, topo, params, PpoConfig(), np.random.default_rng(3), make_analytical(), feats=feats)
+    ro = one_rollout(g, topo, params, PpoConfig(), 3, feats)
     assert ro.valid
     ev = analytical_eval(g, topo, ro.partition)
     base = analytical_eval(g, topo, greedy_heuristic(g, topo))
@@ -62,8 +67,8 @@ def test_rollout_reward_matches_independent_recomputation():
 
 def test_rollout_first_refinement_step_identical_across_T():
     g, topo, params, feats = small_setup()
-    r1 = rollout(g, topo, params, PpoConfig(refinement_steps=1), np.random.default_rng(7), make_analytical(), feats=feats)
-    r2 = rollout(g, topo, params, PpoConfig(refinement_steps=2), np.random.default_rng(7), make_analytical(), feats=feats)
+    r1 = one_rollout(g, topo, params, PpoConfig(refinement_steps=1), 7, feats)
+    r2 = one_rollout(g, topo, params, PpoConfig(refinement_steps=2), 7, feats)
     assert r1.actions.shape == (1, 5)
     assert r2.actions.shape == (2, 5)
     assert np.array_equal(r1.actions[0], r2.actions[0])
@@ -72,13 +77,13 @@ def test_rollout_first_refinement_step_identical_across_T():
 def test_rollout_solver_guarantees_valid_reward():
     g, topo, params, feats = small_setup(n=10)
     for seed in range(10):
-        ro = rollout(g, topo, params, PpoConfig(), np.random.default_rng(seed), make_analytical(), feats=feats)
+        ro = one_rollout(g, topo, params, PpoConfig(), seed, feats)
         assert ro.valid and ro.reward > 0
 
 
 def test_rollout_without_solver_keeps_raw_actions():
     g, topo, params, feats = small_setup(n=10)
-    ro = rollout(g, topo, params, PpoConfig(), np.random.default_rng(4), make_analytical(), feats=feats, use_solver=False)
+    ro = one_rollout(g, topo, params, PpoConfig(), 4, feats, use_solver=False)
     assert np.array_equal(ro.partition.assignment, ro.actions[-1])
     if not ro.valid:
         assert ro.reward == 0.0
@@ -86,14 +91,17 @@ def test_rollout_without_solver_keeps_raw_actions():
 
 @pytest.mark.parametrize("solver_mode", ["fix", "sample"])
 def test_rollout_with_shared_first_step_is_byte_identical(solver_mode):
+    # rollouts runs step 0 once for the batch; recomputing it for every
+    # rollout must draw the same bytes
     g, topo, params, feats = small_setup(n=12)
     cfg = PpoConfig(refinement_steps=3, solver_mode=solver_mode)
-    first = step_logp(params, feats)
     ev = make_analytical()
+    base = _baseline_throughput(g, topo, ev)
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(8):
-        a = rollout(g, topo, params, cfg, rng_a, ev, feats=feats)
-        b = rollout(g, topo, params, cfg, rng_b, ev, feats=feats, first_logp=first)
+    shared = rollouts(g, topo, params, cfg, rng_b, ev, feats, base, 8)
+    assert len(shared) == 8
+    for b in shared:
+        a = rollout(g, topo, params, cfg, rng_a, ev, feats, base, step_logp(params, feats)[0])
         assert a.actions.tobytes() == b.actions.tobytes()
         assert a.old_logp.tobytes() == b.old_logp.tobytes()
         assert a.partition.assignment.tobytes() == b.partition.assignment.tobytes()
@@ -106,7 +114,16 @@ def test_rollout_chip_count_mismatch_rejected():
     from mcmpart.errors import InvalidConfigError
 
     with pytest.raises(InvalidConfigError):
-        rollout(g, ChipTopology(num_chips=3), params, PpoConfig(), np.random.default_rng(0), make_analytical())
+        one_rollout(g, ChipTopology(num_chips=3), params, PpoConfig(), 0, feats)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["clip_epsilon", "learning_rate", "entropy_bonus", "baseline_decay"])
+def test_ppo_config_rejects_non_finite_rates(field, value):
+    from mcmpart.errors import InvalidConfigError
+
+    with pytest.raises(InvalidConfigError):
+        PpoConfig(**{field: value})
 
 
 # ---- loss and update -------------------------------------------------------
@@ -218,8 +235,8 @@ def test_one_round_policy_call_counts(monkeypatch, tmp_path, entry):
     monkeypatch.setattr(mcmpart.training, "forward_policy", counting(calls, "forward", mcmpart.training.forward_policy))
     monkeypatch.setattr(mcmpart.training, "backward_policy",
                         counting(calls, "backward", mcmpart.training.backward_policy))
-    rollout_module = mcmpart.training if entry == "train" else mcmpart.pipeline
-    monkeypatch.setattr(rollout_module, "rollout", counting(calls, "rollout", rollout_module.rollout))
+    # both entries draw their batches through training.rollouts
+    monkeypatch.setattr(mcmpart.training, "rollout", counting(calls, "rollout", mcmpart.training.rollout))
 
     g = generate_synthetic(GeneratorConfig("layered", 12, seed=2))
     topo = ChipTopology(num_chips=2)
