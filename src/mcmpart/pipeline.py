@@ -173,8 +173,12 @@ def zero_shot(
 ) -> SearchTrace:
     """Inference-only rollouts with frozen parameters; no updates.
 
-    ``cfg`` supplies the refinement steps and the solver mode.
+    ``cfg`` supplies the refinement steps and the solver mode.  An empty
+    trace would score 0 whatever the weights, so ``samples`` must be
+    positive.
     """
+    if samples < 1:
+        raise InvalidConfigError(f"zero-shot inference needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     cfg = cfg or PpoConfig()
     feats = GraphFeatures(g, params.config)

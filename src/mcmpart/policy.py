@@ -6,6 +6,15 @@ normalized cost/byte stats, degrees, depth, and a one-hot of the previous
 refinement step's actions; K aggregation layers transform
 ``concat(self, mean_in, mean_out)`` through affine maps with tanh, and a
 two-layer head emits one chip distribution per node.
+
+Precision follows mixed-precision training (Micikevicius et al. 2018): the
+forward and backward GEMMs run in ``ModelConfig.compute_dtype`` (float32
+by default), on the features and neighbor-mean operators of
+:class:`GraphFeatures` and on a copy of the weights from
+:meth:`PolicyParams.for_compute`.  The master weights, the Adam moments
+and the gradients they accumulate stay float64, as do the log-softmax and
+everything the PPO loss computes from it, so small updates are not lost
+to float32 rounding and checkpoints keep their float64 layout.
 """
 
 from __future__ import annotations
@@ -16,20 +25,36 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import CheckpointFormatError, DimensionMismatchError
+from .errors import CheckpointFormatError, DimensionMismatchError, InvalidConfigError
 from .generate import OP_VOCAB
 from .graph import ComputationGraph
 
 CHECKPOINT_MAGIC = b"MCMPCKPT"
 CHECKPOINT_VERSION = 1
+COMPUTE_DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model shape and the dtype its forward and backward passes run in.
+
+    ``compute_dtype`` sets the features, the neighbor-mean operators, the
+    activations and the weight copies the GEMMs use.  The master weights,
+    their gradients and the optimizer state are float64 whatever it is.
+    float32 about halves the time of a pass; float64 reproduces the loss and
+    gradients to rounding, which the reference and finite-difference tests
+    rely on.
+    """
+
     num_chips: int
     op_vocab: tuple = OP_VOCAB
     num_layers: int = 8
     hidden_dim: int = 128
+    compute_dtype: str = "float32"
+
+    def __post_init__(self):
+        if self.compute_dtype not in COMPUTE_DTYPES:
+            raise InvalidConfigError(f"compute_dtype must be one of {COMPUTE_DTYPES}, got {self.compute_dtype!r}")
 
     @property
     def feature_dim(self) -> int:
@@ -46,7 +71,7 @@ class ModelConfig:
 
 
 class PolicyParams:
-    """Named weight arrays plus optimizer state; bit-exact round-trippable."""
+    """Named float64 master weights plus optimizer state; bit-exact round-trippable."""
 
     def __init__(self, config: ModelConfig, weights: dict):
         self.config = config
@@ -61,6 +86,17 @@ class PolicyParams:
         out.opt_v = {k: v.copy() for k, v in self.opt_v.items()}
         out.opt_t = self.opt_t
         return out
+
+    def for_compute(self) -> "PolicyParams":
+        """The weights in the config's compute dtype, without optimizer state.
+
+        Returns ``self`` when they already are, so a caller casts once and
+        hands the result to every pass under the same weights.
+        """
+        dtype = np.dtype(self.config.compute_dtype)
+        if all(v.dtype == dtype for v in self.weights.values()):
+            return self
+        return PolicyParams(self.config, {k: v.astype(dtype) for k, v in self.weights.items()})
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> PolicyParams:
@@ -85,14 +121,16 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> PolicyParams:
 
 
 class GraphFeatures:
-    """Per-graph feature matrix and row-normalized neighbor-mean operators."""
+    """Per-graph feature matrix and row-normalized neighbor-mean operators,
+    in the config's compute dtype."""
 
     def __init__(self, g: ComputationGraph, config: ModelConfig):
         self.config = config
+        dtype = np.dtype(config.compute_dtype)
         n = g.num_nodes
         vocab = {op: i for i, op in enumerate(config.op_vocab)}
         unknown = len(config.op_vocab)
-        base = np.zeros((n, config.feature_dim))
+        base = np.zeros((n, config.feature_dim), dtype=dtype)
         for i, node in enumerate(g.nodes):
             base[i, vocab.get(node.op_kind, unknown)] = 1.0
         off = unknown + 1
@@ -117,8 +155,8 @@ class GraphFeatures:
         self.base = base
         self.prev_offset = off + 6
 
-        a_in = np.zeros((n, n))
-        a_out = np.zeros((n, n))
+        a_in = np.zeros((n, n), dtype=dtype)
+        a_out = np.zeros((n, n), dtype=dtype)
         for e in g.edges:
             a_in[e.dst, e.src] = 1.0
             a_out[e.src, e.dst] = 1.0
@@ -138,9 +176,10 @@ class GraphFeatures:
 
 
 def forward_policy(params: PolicyParams, feats: GraphFeatures, x: np.ndarray, need_cache: bool = False):
-    """Run embedding layers and head; returns (logits, cache)."""
+    """Run embedding layers and head; returns (logits, cache), both in the
+    compute dtype.  Pass ``params.for_compute()`` to skip the weight cast."""
     cfg = params.config
-    w = params.weights
+    w = params.for_compute().weights
     if x.shape[1] != cfg.feature_dim:
         raise DimensionMismatchError(f"feature dim {x.shape[1]} != model feature dim {cfg.feature_dim}")
     h = x
@@ -158,10 +197,15 @@ def forward_policy(params: PolicyParams, feats: GraphFeatures, x: np.ndarray, ne
 
 
 def backward_policy(params: PolicyParams, feats: GraphFeatures, cache, dlogits: np.ndarray, grads: dict):
-    """Accumulate loss gradients for one forward pass into ``grads``."""
+    """Accumulate loss gradients for one forward pass into ``grads``.
+
+    The backward GEMMs run in the compute dtype, ``dlogits`` included; each
+    product is added into the float64 ``grads``.
+    """
     cfg = params.config
-    w = params.weights
+    w = params.for_compute().weights
     h, t1, layer_cache = cache
+    dlogits = dlogits.astype(t1.dtype, copy=False)
 
     grads["head_W2"] += t1.T @ dlogits
     grads["head_b2"] += dlogits.sum(axis=0)
@@ -202,7 +246,11 @@ def save_checkpoint(path, params: PolicyParams, meta: dict | None = None) -> Non
 
     Layout: magic, header length (LE uint64), JSON header (config echo,
     array table, optimizer step), then raw little-endian float64 buffers in
-    header order.
+    header order.  The buffers are the float64 master weights and Adam
+    moments, whatever the compute dtype: a float32 copy is made for each
+    batch of passes and never stored, so the layout is the same as before
+    the config had a ``compute_dtype`` (which the header echoes; a header
+    without it loads with the default).
     """
     arrays = []
     payload = bytearray()
@@ -252,7 +300,10 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
         cfg_doc["op_vocab"] = tuple(cfg_doc["op_vocab"])
         if cfg_doc.pop("use_value_head", False):  # older headers carry the flag; only false loads
             raise CheckpointFormatError(f"{path} holds a value head, which the policy no longer has")
-        config = ModelConfig(**cfg_doc)
+        try:
+            config = ModelConfig(**cfg_doc)
+        except InvalidConfigError as exc:
+            raise CheckpointFormatError(f"{path}: {exc}") from exc
         arrays = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])

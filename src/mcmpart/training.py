@@ -71,10 +71,15 @@ def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndar
     step's actions, and the forward cache (``None`` unless ``need_cache``).
 
     The rollout's draws and the PPO replay both come from here, so the
-    replay recomputes exactly what the rollout sampled from.
+    replay recomputes exactly what the rollout sampled from.  The forward
+    pass and its cache are in the config's compute dtype; the logits are
+    upcast to float64 before the log-softmax, so the log-probs, the PPO
+    ratio and everything after them are float64.  Callers running several
+    steps under the same weights pass ``params.for_compute()``, so the
+    weights are cast once, not once per step.
     """
     logits, cache = forward_policy(params, feats, feats.features(prev), need_cache=need_cache)
-    return log_softmax(logits), cache
+    return log_softmax(logits.astype(np.float64, copy=False)), cache
 
 
 def rollout(
@@ -143,17 +148,28 @@ def rollouts(
 
     Step 0 sees the same features in every rollout, so its pass runs once
     for the whole batch; the draws are those of ``count`` separate passes.
+    The weights are cast to the compute dtype once for the batch.
     """
+    params = params.for_compute()
     first, _ = step_logp(params, feats)
     return [rollout(g, topo, params, cfg, rng, evaluator, feats, baseline, first, use_solver) for _ in range(count)]
 
 
-def _clipped_step(lp: np.ndarray, y: np.ndarray, old_lp: np.ndarray, adv: float, inv_m: float, cfg: PpoConfig):
-    """Surrogate and entropy sums of one refinement step, and the loss gradient w.r.t. its logits."""
+def _clipped_step(lp: np.ndarray, y: np.ndarray, old_lp: np.ndarray, adv: np.ndarray, inv_m: float, cfg: PpoConfig):
+    """Surrogate and entropy sums of one forward pass, and the loss gradient w.r.t. its logits.
+
+    ``lp`` holds the pass's (N, C) log-probs; ``y`` and ``old_lp`` hold one
+    (N,) row for each of the M rollouts that share the pass, shape (M, N),
+    and ``adv`` their M advantages.  The entropy and its gradient depend on
+    ``lp`` alone, so they are computed once and counted M times.
+    """
     eps = cfg.clip_epsilon
+    members, n = y.shape
+    chips = lp.shape[1]
     p = np.exp(lp)
-    rows = np.arange(len(y))
+    rows = np.arange(n)
     ratio = np.exp(lp[rows, y] - old_lp)
+    adv = adv[:, None]
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
     surrogate = np.minimum(unclipped, clipped)
@@ -163,10 +179,10 @@ def _clipped_step(lp: np.ndarray, y: np.ndarray, old_lp: np.ndarray, adv: float,
     inside = (ratio > 1.0 - eps) & (ratio < 1.0 + eps)
     dsdr = adv * np.where(use_unclipped, 1.0, inside.astype(np.float64))
     grad_lp = -inv_m * dsdr * ratio
-    dlogits = grad_lp[:, None] * (-p)
-    dlogits[rows, y] += grad_lp
-    dlogits += inv_m * cfg.entropy_bonus * p * (lp + ent[:, None])
-    return surrogate.sum(), ent.sum(), dlogits
+    dlogits = grad_lp.sum(axis=0)[:, None] * (-p)
+    dlogits += np.bincount((rows * chips + y).ravel(), weights=grad_lp.ravel(), minlength=n * chips).reshape(n, chips)
+    dlogits += (members * inv_m * cfg.entropy_bonus) * p * (lp + ent[:, None])
+    return surrogate.sum(), members * ent.sum(), dlogits
 
 
 def ppo_loss_and_grads(
@@ -179,12 +195,13 @@ def ppo_loss_and_grads(
     """Clipped-surrogate loss plus entropy bonus.
 
     Returns (loss, grads, stats): stats holds the surrogate and entropy
-    terms of the loss, and grads cover every weight array.  The replay
-    conditions on the stored actions through :func:`step_logp`, so it
-    recomputes what the rollouts sampled from.  Each forward pass serves
+    terms of the loss, and grads cover every weight array, in float64.  The
+    replay conditions on the stored actions through :func:`step_logp`, so
+    it recomputes what the rollouts sampled from.  Each forward pass serves
     every rollout that shares its input: step 0 runs once for the whole
-    minibatch, with the rollouts' gradients summed into one backward, and
-    each later step runs once per rollout.
+    minibatch, with one :func:`_clipped_step` over all its rollouts and one
+    backward, and each later step runs once per rollout.  The weights are
+    cast to the compute dtype once for the minibatch.
     """
     grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
@@ -193,19 +210,22 @@ def ppo_loss_and_grads(
     inv_m = 1.0 / n_elems
     loss_sur = 0.0
     loss_ent = 0.0
-    # (previous actions, step, rollout indices) of every forward pass
-    passes = [(None, 0, range(len(rollouts)))]
-    passes += [(ro.actions[t - 1], t, (i,)) for i, ro in enumerate(rollouts) for t in range(1, ro.actions.shape[0])]
-    for prev, t, members in passes:
-        lp, cache = step_logp(params, feats, prev, need_cache=True)
-        dlogits = np.zeros_like(lp)
-        for i in members:
-            ro = rollouts[i]
-            sur, ent, d = _clipped_step(lp, ro.actions[t], ro.old_logp[t], float(advantages[i]), inv_m, cfg)
-            loss_sur -= inv_m * sur
-            loss_ent -= inv_m * cfg.entropy_bonus * ent
-            dlogits += d
-        backward_policy(params, feats, cache, dlogits, grads)
+    compute = params.for_compute()
+    # every forward pass: its previous actions, then the actions, stored
+    # log-probs and advantages of the rollouts that share it
+    passes = [(None, np.stack([ro.actions[0] for ro in rollouts]), np.stack([ro.old_logp[0] for ro in rollouts]),
+               advantages)]
+    passes += [
+        (ro.actions[t - 1], ro.actions[t : t + 1], ro.old_logp[t : t + 1], advantages[i : i + 1])
+        for i, ro in enumerate(rollouts)
+        for t in range(1, ro.actions.shape[0])
+    ]
+    for prev, y, old_lp, adv in passes:
+        lp, cache = step_logp(compute, feats, prev, need_cache=True)
+        sur, ent, dlogits = _clipped_step(lp, y, old_lp, adv, inv_m, cfg)
+        loss_sur -= inv_m * sur
+        loss_ent -= inv_m * cfg.entropy_bonus * ent
+        backward_policy(compute, feats, cache, dlogits, grads)
     return loss_sur + loss_ent, grads, {"surrogate": loss_sur, "entropy": loss_ent}
 
 

@@ -20,15 +20,26 @@ def make_graph(num_nodes, edges, costs=None, out_bytes=None, param_bytes=None, o
     return ComputationGraph(nodes, data_edges)
 
 
-def with_config_entry(path, key, value):
-    """Rewrite a checkpoint's header with one more config entry, laid out
-    as a writer whose config had that entry would have written it."""
+def _edit_config(path, edit):
+    """Rewrite a checkpoint's header after ``edit`` changed its config, laid
+    out as a writer whose config was the edited one would have written it."""
     data = path.read_bytes()
     hlen = int.from_bytes(data[8:16], "little")
     header = json.loads(data[16:16 + hlen])
-    header["config"][key] = value
+    edit(header["config"])
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + hlen:])
+
+
+def with_config_entry(path, key, value):
+    """Rewrite a checkpoint's header with one more config entry."""
+    _edit_config(path, lambda cfg: cfg.update({key: value}))
+
+
+def without_config_entry(path, key):
+    """Rewrite a checkpoint's header without one config entry, as a writer
+    whose config lacked it would have written it."""
+    _edit_config(path, lambda cfg: cfg.pop(key))
 
 
 @pytest.fixture

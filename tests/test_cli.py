@@ -273,6 +273,11 @@ def test_search_and_s2t_roundtrip(tmp_path):
                   "--out", "o.csv"], id="sa-nan-init-temp"),
     pytest.param(["eval", "--graph", "g.json", "--partition", "p.json", "--chips", 2, "--evaluator", "surrogate",
                   "--surrogate-config", "noise.json", "--out", "o.csv"], id="surrogate-overflowing-noise"),
+    pytest.param(["validate", "--corpus", "corpus.json", "--checkpoints", "cks", "--chips", 2, "--zeroshot-samples", 0,
+                  "--finetune-budget", 2, "--criterion", "zeroshot", "--out", "o.csv"],
+                 id="validate-zero-zeroshot-samples"),
+    pytest.param(["zeroshot", "--graph", "g.json", "--checkpoint", "cks/4.ckpt", "--chips", 2, "--samples", 0,
+                  "--out", "o.csv"], id="zeroshot-zero-samples"),
 ])
 def test_missing_or_malformed_argument_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -281,8 +286,9 @@ def test_missing_or_malformed_argument_is_a_config_error(tmp_path, capsys, monke
     (tmp_path / "p.json").write_text(Partition(np.array([0, 0, 1, 1]), source="sampled").to_json())
     assert run(["gen", "--nodes", 6, "--count", 2, "--seed", 1, "--out-dir", "graphs", "--manifest", "corpus.json",
                 "--splits", "1,1,0"]) == 0
-    (tmp_path / "named").mkdir()
-    save_checkpoint(tmp_path / "named" / "best.ckpt", init_params(ModelConfig.tiny(2), np.random.default_rng(0)))
+    for name in ("named/best.ckpt", "cks/4.ckpt"):
+        (tmp_path / name).parent.mkdir()
+        save_checkpoint(tmp_path / name, init_params(ModelConfig.tiny(2), np.random.default_rng(0)))
     for name, text in [("lr.cfg", "lr=nan"), ("ent.cfg", "entropy-bonus=inf"), ("temp.cfg", "init-temp=nan"),
                        ("noise.json", '{"noise_scale": 1000}')]:
         (tmp_path / name).write_text(text + "\n")

@@ -153,12 +153,14 @@ def test_validate_scores_zero_shot_with_its_config(monkeypatch, tmp_path):
     assert calls == {"solve_sample": 15, "solve_fix": 0}
 
 
-def test_zero_shot_zero_samples_empty_trace():
+def test_zero_shot_without_samples_rejected():
+    # an empty trace scores 0 whatever the weights, so validate would pick
+    # its first checkpoint blindly
     g = generate_synthetic(GeneratorConfig("chain", 4, seed=1))
     params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
-    trace = zero_shot(params, g, ChipTopology(num_chips=2), make_analytical(), samples=0, seed=0)
-    assert trace.num_samples == 0
-    assert trace.best_partition is None
+    for samples in (0, -1):
+        with pytest.raises(InvalidConfigError):
+            zero_shot(params, g, ChipTopology(num_chips=2), make_analytical(), samples=samples, seed=0)
 
 
 def test_fine_tune_from_fresh_init_equals_training_from_scratch():

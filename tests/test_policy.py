@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mcmpart import ChipTopology, GeneratorConfig, generate_synthetic
-from mcmpart.errors import CheckpointFormatError, DimensionMismatchError
+from mcmpart.errors import CheckpointFormatError, DimensionMismatchError, InvalidConfigError
+from mcmpart.evaluator import make_analytical
+from mcmpart.pipeline import fine_tune
 from mcmpart.policy import (
     GraphFeatures,
     ModelConfig,
@@ -13,12 +15,14 @@ from mcmpart.policy import (
     sample_rows,
     save_checkpoint,
 )
+from mcmpart.search import SearchBudget
+from mcmpart.training import PpoConfig
 
-from conftest import make_graph, with_config_entry
+from conftest import make_graph, with_config_entry, without_config_entry
 
 
-def tiny_params(num_chips=2, seed=0):
-    return init_params(ModelConfig.tiny(num_chips=num_chips), np.random.default_rng(seed))
+def tiny_params(num_chips=2, seed=0, compute_dtype="float32"):
+    return init_params(ModelConfig.tiny(num_chips=num_chips, compute_dtype=compute_dtype), np.random.default_rng(seed))
 
 
 def embeddings(g, params):
@@ -68,7 +72,7 @@ def test_log_softmax_matches_softmax():
 def test_edgeless_graph_embedding_uses_self_features_only():
     # identical features + empty neighborhoods -> identical embeddings
     g = make_graph(3, [], costs=[2.0, 2.0, 2.0])
-    params = tiny_params(num_chips=2)
+    params = tiny_params(num_chips=2, compute_dtype="float64")  # for the 1e-12 tolerance
     h = embeddings(g, params)
     np.testing.assert_allclose(h[0], h[1], atol=1e-12)
     np.testing.assert_allclose(h[0], h[2], atol=1e-12)
@@ -76,14 +80,14 @@ def test_edgeless_graph_embedding_uses_self_features_only():
 
 def test_isomorphic_nodes_share_embeddings(diamond):
     # nodes 1 and 2 of the diamond have the same features and neighborhoods
-    params = tiny_params(num_chips=2)
+    params = tiny_params(num_chips=2, compute_dtype="float64")  # for the 1e-12 tolerance
     h = embeddings(diamond, params)
     np.testing.assert_allclose(h[1], h[2], atol=1e-12)
 
 
 def test_permutation_equivariance():
     g = generate_synthetic(GeneratorConfig("random-dag", 9, seed=7))
-    params = tiny_params(num_chips=3, seed=2)
+    params = tiny_params(num_chips=3, seed=2, compute_dtype="float64")  # for the 1e-10 tolerance
     P = distribution(g, params)
 
     perm = np.random.default_rng(3).permutation(9)
@@ -177,6 +181,71 @@ def test_checkpoint_without_value_head_from_older_header_loads(tmp_path):
     assert loaded.config == params.config
     g = generate_synthetic(GeneratorConfig("layered", 8, seed=2))
     assert np.array_equal(distribution(g, loaded), distribution(g, params))
+
+
+@pytest.mark.parametrize("compute_dtype", ["float32", "float64"])
+def test_features_and_passes_run_in_the_compute_dtype(compute_dtype):
+    g = generate_synthetic(GeneratorConfig("layered", 10, seed=2))
+    params = tiny_params(num_chips=2, compute_dtype=compute_dtype)
+    feats = GraphFeatures(g, params.config)
+    assert {feats.base.dtype, feats.a_in.dtype, feats.a_out.dtype} == {np.dtype(compute_dtype)}
+    logits, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
+    assert logits.dtype == cache[0].dtype == np.dtype(compute_dtype)
+    compute = params.for_compute()
+    assert compute.for_compute() is compute
+    assert all(v.dtype == np.dtype(compute_dtype) for v in compute.weights.values())
+    assert all(v.dtype == np.float64 for v in params.weights.values())  # the master weights stay float64
+    assert (compute is params) == (compute_dtype == "float64")
+
+
+def test_unknown_compute_dtype_rejected():
+    with pytest.raises(InvalidConfigError):
+        ModelConfig.tiny(num_chips=2, compute_dtype="float16")
+
+
+@pytest.mark.parametrize("compute_dtype", ["float32", "float64"])
+def test_checkpoint_keeps_compute_dtype_and_float64_arrays(tmp_path, compute_dtype):
+    params = tiny_params(num_chips=3, seed=4, compute_dtype=compute_dtype)
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config.compute_dtype == compute_dtype
+    assert all(v.dtype == np.float64 for v in loaded.weights.values())
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[8:16], "little")
+    payload = len(data) - 16 - hlen
+    assert payload == 8 * sum(v.size for v in params.weights.values())  # one <f8 per weight
+    for k, v in params.weights.items():
+        assert np.array_equal(loaded.weights[k], v)
+
+
+def test_checkpoint_from_header_without_compute_dtype_loads_with_default_and_fine_tunes(tmp_path):
+    # a checkpoint written before the config had a compute dtype
+    params = tiny_params(num_chips=2, seed=4, compute_dtype="float64")
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, params)
+    without_config_entry(path, "compute_dtype")
+    assert b"compute_dtype" not in path.read_bytes()
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config.compute_dtype == ModelConfig.tiny(num_chips=2).compute_dtype == "float32"
+    for k, v in params.weights.items():
+        assert np.array_equal(loaded.weights[k], v)
+    g = generate_synthetic(GeneratorConfig("layered", 10, seed=2))
+    tuned, trace = fine_tune(loaded, g, ChipTopology(num_chips=2), make_analytical(),
+                             SearchBudget(max_samples=20, seed=0), PpoConfig(num_rollouts=10, num_minibatches=2,
+                                                                              num_epochs=1))
+    assert trace.num_samples == 20 and all(trace.valid)
+    assert tuned.opt_t == 4  # two batches of two minibatches
+    assert all(v.dtype == np.float64 for v in tuned.weights.values())
+    assert any(not np.array_equal(tuned.weights[k], v) for k, v in loaded.weights.items())
+
+
+def test_checkpoint_with_unknown_compute_dtype_rejected(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, tiny_params(num_chips=2))
+    with_config_entry(path, "compute_dtype", "float16")
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):

@@ -5,7 +5,15 @@ import mcmpart.training
 from mcmpart import ChipTopology, GeneratorConfig, analytical_eval, enumerate_valid, generate_synthetic
 from mcmpart.evaluator import make_analytical
 from mcmpart.pipeline import Corpus, pretrain, zero_shot
-from mcmpart.policy import GraphFeatures, ModelConfig, backward_policy, forward_policy, init_params, log_softmax
+from mcmpart.policy import (
+    GraphFeatures,
+    ModelConfig,
+    PolicyParams,
+    backward_policy,
+    forward_policy,
+    init_params,
+    log_softmax,
+)
 from mcmpart.search import SearchBudget, _baseline_throughput, greedy_heuristic
 from mcmpart.training import (
     PpoConfig,
@@ -22,10 +30,10 @@ from mcmpart.training import (
 from conftest import make_graph
 
 
-def small_setup(seed=0, num_chips=2, n=5):
+def small_setup(seed=0, num_chips=2, n=5, compute_dtype="float32"):
     g = generate_synthetic(GeneratorConfig("random-dag", n, seed=2))
     topo = ChipTopology(num_chips=num_chips)
-    cfg = ModelConfig.tiny(num_chips=num_chips)
+    cfg = ModelConfig.tiny(num_chips=num_chips, compute_dtype=compute_dtype)
     params = init_params(cfg, np.random.default_rng(seed))
     feats = GraphFeatures(g, cfg)
     return g, topo, params, feats
@@ -166,7 +174,8 @@ def reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats):
 
 @pytest.mark.parametrize("t_steps", [1, 2, 3])
 def test_shared_first_step_loss_matches_per_rollout_reference(t_steps):
-    g, topo, params, feats = small_setup(seed=1, n=9)
+    # float64 compute: the reference differs from the loss only in summation order
+    g, topo, params, feats = small_setup(seed=1, n=9, compute_dtype="float64")
     cfg = PpoConfig(refinement_steps=t_steps, clip_epsilon=0.05)
     ros = collect_rollouts(g, topo, params, feats, cfg, seed=4, count=5)
     rewards = np.array([r.reward for r in ros])
@@ -185,11 +194,63 @@ def test_shared_first_step_loss_matches_per_rollout_reference(t_steps):
 
 
 @pytest.mark.parametrize("solver_mode", ["fix", "sample"])
+@pytest.mark.parametrize("profile", ["tiny", "default"])
+def test_first_minibatch_replays_a_fresh_batch_with_ratio_one(monkeypatch, profile, solver_mode):
+    # at the default float32 compute dtype, the replay before the first Adam
+    # step must recompute every log-prob the rollouts stored, bit for bit
+    g = generate_synthetic(GeneratorConfig("layered", 16, seed=3))
+    topo = ChipTopology(num_chips=3)
+    model = ModelConfig.tiny(3) if profile == "tiny" else ModelConfig(num_chips=3)
+    assert model.compute_dtype == "float32"
+    params = init_params(model, np.random.default_rng(0))
+    feats = GraphFeatures(g, model)
+    cfg = PpoConfig(num_rollouts=8, num_minibatches=2, num_epochs=2, refinement_steps=3, solver_mode=solver_mode)
+    batch = collect_rollouts(g, topo, params, feats, cfg, seed=1, count=cfg.num_rollouts)
+
+    replayed = []
+    clipped_step = mcmpart.training._clipped_step
+
+    def recording(lp, y, old_lp, *args):
+        if params.opt_t == 0:
+            rows = np.arange(y.shape[1])
+            replayed.append(y.shape[0])
+            assert lp[rows, y].tobytes() == old_lp.tobytes()
+        return clipped_step(lp, y, old_lp, *args)
+
+    monkeypatch.setattr(mcmpart.training, "_clipped_step", recording)
+    ppo_update(params, batch, cfg, feats, 0.5, np.random.default_rng(2))
+    # step 0 once for the minibatch's four rollouts, then each later step per rollout
+    assert replayed == [4] + [1] * 4 * (cfg.refinement_steps - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_loss_and_grads_match_float64(seed):
+    # float32 GEMMs (unit roundoff 6e-8) through a tiny network: the loss and
+    # each gradient array agree with float64 to 1e-5 of their size
+    g = generate_synthetic(GeneratorConfig("layered", 12, seed=seed))
+    topo = ChipTopology(num_chips=3)
+    c64, c32 = ModelConfig.tiny(3, compute_dtype="float64"), ModelConfig.tiny(3)
+    p64 = init_params(c64, np.random.default_rng(seed))
+    p32 = PolicyParams(c32, p64.weights)
+    f64, f32 = GraphFeatures(g, c64), GraphFeatures(g, c32)
+    cfg = PpoConfig(refinement_steps=2)
+    ros = collect_rollouts(g, topo, p64, f64, cfg, seed=1, count=6)
+    adv = np.linspace(-0.5, 0.5, len(ros))
+
+    l64, g64, _ = ppo_loss_and_grads(p64, ros, adv, cfg, f64)
+    l32, g32, _ = ppo_loss_and_grads(p32, ros, adv, cfg, f32)
+    assert l32 == pytest.approx(l64, rel=1e-5)
+    for k in g64:
+        assert g32[k].dtype == np.float64
+        assert np.abs(g32[k] - g64[k]).max() <= 1e-5 * np.abs(g64[k]).max(), k
+
+
+@pytest.mark.parametrize("solver_mode", ["fix", "sample"])
 def test_train_round_weights_match_per_rollout_reference(monkeypatch, solver_mode):
     g = generate_synthetic(GeneratorConfig("layered", 16, seed=3))
     topo = ChipTopology(num_chips=2)
     cfg = PpoConfig(num_rollouts=10, num_minibatches=2, num_epochs=3, solver_mode=solver_mode)
-    model = ModelConfig.tiny(2)
+    model = ModelConfig.tiny(2, compute_dtype="float64")
 
     def run():
         return train_from_scratch(g, topo, cfg, SearchBudget(max_samples=20), make_analytical(),
@@ -231,7 +292,15 @@ def counting(calls, name, fn):
 @pytest.mark.parametrize("entry", ["train", "pretrain"])
 def test_one_round_policy_call_counts(monkeypatch, tmp_path, entry):
     # counts go through the module globals that the benchmark wraps
-    calls = {"forward": 0, "backward": 0, "rollout": 0}
+    calls = {"forward": 0, "backward": 0, "rollout": 0, "cast": 0}
+    for_compute = PolicyParams.for_compute
+
+    def counting_casts(self):
+        out = for_compute(self)
+        calls["cast"] += out is not self
+        return out
+
+    monkeypatch.setattr(PolicyParams, "for_compute", counting_casts)
     monkeypatch.setattr(mcmpart.training, "forward_policy", counting(calls, "forward", mcmpart.training.forward_policy))
     monkeypatch.setattr(mcmpart.training, "backward_policy",
                         counting(calls, "backward", mcmpart.training.backward_policy))
@@ -250,6 +319,8 @@ def test_one_round_policy_call_counts(monkeypatch, tmp_path, entry):
                  out_dir=tmp_path, model_config=ModelConfig.tiny(2))
     assert calls["rollout"] == cfg.num_rollouts
     assert (calls["forward"], calls["backward"]) == expected_policy_calls(cfg)
+    # the float32 weight copy is made once for the batch and once per minibatch
+    assert calls["cast"] == 1 + cfg.num_epochs * cfg.num_minibatches
 
 
 def test_zero_shot_runs_step_zero_once(monkeypatch):
@@ -263,7 +334,8 @@ def test_zero_shot_runs_step_zero_once(monkeypatch):
 
 
 def test_gradients_match_finite_differences():
-    g, topo, params, feats = small_setup(seed=1)
+    # float64 compute: a 1e-6 step is below float32 resolution
+    g, topo, params, feats = small_setup(seed=1, compute_dtype="float64")
     cfg = PpoConfig(refinement_steps=2, entropy_bonus=0.01)
     ros = collect_rollouts(g, topo, params, feats, cfg, seed=5)
     rewards = np.array([r.reward for r in ros])
@@ -306,7 +378,8 @@ def test_zero_advantage_leaves_only_entropy_gradient():
 
 
 def test_huge_clip_equals_vanilla_policy_gradient():
-    g, topo, params, feats = small_setup(seed=3)
+    # float64 compute, for the 1e-12 comparison
+    g, topo, params, feats = small_setup(seed=3, compute_dtype="float64")
     cfg = PpoConfig(clip_epsilon=1e9, entropy_bonus=0.0)
     ros = collect_rollouts(g, topo, params, feats, cfg, seed=8)
     rewards = np.array([r.reward for r in ros])
