@@ -2,8 +2,12 @@
 
 Chip-id domains are bitmasks (bit ``c`` set means chip ``c`` is still
 allowed), one Python int per node in a plain list.  Propagation works on
-that list and on per-graph adjacency lists.  ``ChipTopology`` caps the chip
-count at ``MAX_CHIPS``.  The static check and the per-chip sums are numpy
+that list and on per-graph adjacency lists, and keeps what it derived at
+the last fixpoint (the committed chip edges, and which nodes can still
+cover each chip) in a second flat int list that the solver's trail copies
+with the domains, so a call does work in proportion to what changed rather
+than to the node count.  ``ChipTopology`` caps the chip count at
+``MAX_CHIPS``.  The static check and the per-chip sums are numpy
 array operations over the assignment and the edge endpoints, with no loop
 over nodes or edges.
 """
@@ -26,25 +30,51 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
     so the fixpoint does not depend on the order the rules run in.  Returns
     0 on success, 1 if some domain emptied.  After a wipe-out ``dom`` holds
     a partial pruning and must be discarded; ``chip_edges`` is written only
-    on success.
+    on success, so a caller that keeps copies of both undoes a failed call
+    by restoring them.
 
-    ``seeds`` names the nodes whose domains changed since the last
-    fixpoint; every other domain must already be at it.  ``chip_edges`` is
-    a list of ``3 * num_chips`` ints that holds the committed chip edges of
-    that fixpoint (bit c of entry a is set when an edge runs from a node
-    committed to chip a to one committed to chip c), then the two look-ahead
-    tables derived from them.  The look-ahead visits only the edges next to
-    changed nodes until a new chip edge appears.  A full sweep passes every
-    node as a seed and ``[0] * (3 * num_chips)`` as the chip edges.
+    ``chip_edges`` is the state kept from the last fixpoint, a list of
+    ``4 * num_chips + 2`` ints:
+
+    - the committed chip edges (bit c of entry a is set when an edge runs
+      from a node committed to chip a to one committed to chip c), then
+      the two look-ahead tables derived from them;
+    - one coverer set per chip: bit v of entry c is set while chip c is in
+      ``dom[v]``;
+    - ``placed``, the chips that some singleton domain sits on;
+    - the chips below ``m_bound``, the largest lowest bit over all domains,
+      as the mask ``m_bound - 1``.
+
+    ``seeds`` names the nodes whose domains the caller narrowed since that
+    fixpoint; every other domain must still be at it.  On entry each seed's
+    coverer bits, ``placed`` and ``m_bound`` are reconciled with its domain,
+    at O(num_chips) per seed; every write here keeps them current.  The
+    look-ahead visits only the edges next to changed nodes until a new chip
+    edge appears.  A full sweep passes every node as a seed and
+    ``[0] * (4 * num_chips + 2)``, from which the seeds rebuild the
+    coverage state.
     """
     changed = list(seeds)  # nodes whose edges the look-ahead must see
-    chips, ahead, behind = (chip_edges[i * num_chips:(i + 1) * num_chips] for i in range(3))
+    chips, ahead, behind, cover = (chip_edges[i * num_chips:(i + 1) * num_chips] for i in range(4))
+    placed, below = chip_edges[4 * num_chips:]
+    for u in changed:
+        du = dom[u]
+        bit = 1 << u
+        for c in range(num_chips):
+            if du >> c & 1:
+                cover[c] |= bit
+            else:
+                cover[c] &= ~bit
+        low = du & -du
+        below |= low - 1
+        if du == low:
+            placed |= du
     while True:
         # Every edge (u, v) forces min(dom[v]) >= min(dom[u]) and
         # max(dom[u]) <= max(dom[v]).  Minimums flow forward from the seeds
         # and maximums backward.  Trimming one end of a domain never moves
         # its other end unless the domain empties, so the two worklists do
-        # not feed each other.
+        # not feed each other, and only the forward one moves m_bound.
         stack = list(seeds)
         while stack:
             u = stack.pop()
@@ -53,12 +83,17 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
             for v in succs[u]:
                 dv = dom[v]
                 if dv & -dv < low:
-                    dv &= -low
-                    if not dv:
+                    nd = dv & -low
+                    if not nd:
                         return 1
-                    dom[v] = dv
+                    dom[v] = nd
                     stack.append(v)
                     changed.append(v)
+                    _uncover(cover, v, dv ^ nd)
+                    low_v = nd & -nd
+                    below |= low_v - 1
+                    if nd == low_v:
+                        placed |= nd
         stack = list(seeds)
         while stack:
             v = stack.pop()
@@ -66,34 +101,36 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
             for u in preds[v]:
                 du = dom[u]
                 if du.bit_length() > top:
-                    du &= (1 << top) - 1
-                    if not du:
+                    nd = du & (1 << top) - 1
+                    if not nd:
                         return 1
-                    dom[u] = du
+                    dom[u] = nd
                     stack.append(u)
                     changed.append(u)
+                    _uncover(cover, u, du ^ nd)
+                    if nd & (nd - 1) == 0:
+                        placed |= nd
 
         # Some node is forced onto a chip >= m_bound, so every chip below
-        # m_bound must stay coverable; a unique coverer is forced onto it.
-        once = twice = placed = 0
-        for x in dom:
-            twice |= once & x
-            once |= x
-            if x & (x - 1) == 0:
-                placed |= x
-        below = max([x & -x for x in dom], default=0) - 1  # chips < m_bound
-        if below & ~once:
-            return 1
-        force = below & ~twice & ~placed
-        if force:
-            seeds = []
-            for i, x in enumerate(dom):
-                hit = x & force
-                if hit:
-                    if hit & (hit - 1):
-                        return 1  # sole coverer of two chips
-                    dom[i] = hit
-                    seeds.append(i)
+        # m_bound must stay coverable; a sole coverer is forced onto it.
+        # Forcing a node drops it from its other chips' coverer sets, so a
+        # node that is the sole coverer of two such chips empties the set
+        # of the second.  A forced chip lies below m_bound, which stays put.
+        seeds = []
+        need = below & ~placed
+        while need:
+            bit = need & -need
+            need ^= bit
+            who = cover[bit.bit_length() - 1]
+            if not who:
+                return 1
+            if who & (who - 1) == 0:
+                v = who.bit_length() - 1
+                _uncover(cover, v, dom[v] ^ bit)
+                dom[v] = bit
+                placed |= bit
+                seeds.append(v)
+        if seeds:
             changed += seeds
             continue
 
@@ -175,6 +212,11 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
                             return 1
                         dom[v] = nd
                         seeds.append(v)
+                        _uncover(cover, v, dv ^ nd)
+                        low_v = nd & -nd
+                        below |= low_v - 1
+                        if nd == low_v:
+                            placed |= nd
             elif dv & (dv - 1) == 0:
                 nd = du & ~behind[dv.bit_length() - 1]
                 if nd != du:
@@ -182,10 +224,15 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
                         return 1
                     dom[u] = nd
                     seeds.append(u)
+                    _uncover(cover, u, du ^ nd)
+                    low_u = nd & -nd
+                    below |= low_u - 1
+                    if nd == low_u:
+                        placed |= nd
         if not seeds:
             break
         changed = list(seeds)
-    chip_edges[:] = chips + ahead + behind
+    chip_edges[:] = chips + ahead + behind + cover + [placed, below]
     return 0
 
 
@@ -251,6 +298,15 @@ def chip_latency(assign, cost, edge_src, edge_dst, edge_bytes, bandwidth, num_ch
 def chip_memory(assign, node_bytes, num_chips):
     """Per-chip resident bytes (parameters + outputs of the nodes placed there)."""
     return np.bincount(assign, weights=node_bytes, minlength=num_chips).astype(np.int64)
+
+
+def _uncover(cover, v, gone):
+    """Clear node ``v`` from the coverer sets of the chips in ``gone``."""
+    keep = ~(1 << v)
+    while gone:
+        b = gone & -gone
+        cover[b.bit_length() - 1] &= keep
+        gone ^= b
 
 
 def _bits(mask):

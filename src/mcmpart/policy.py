@@ -99,24 +99,32 @@ class PolicyParams:
         return PolicyParams(self.config, {k: v.astype(dtype) for k, v in self.weights.items()})
 
 
+def weight_shapes(config: ModelConfig) -> dict:
+    """Name and shape of every weight of a policy with this config, in the
+    order :func:`init_params` draws them."""
+    shapes = {}
+    d_in = config.feature_dim
+    for l in range(config.num_layers):
+        shapes[f"sage{l}_W"] = (3 * d_in, config.hidden_dim)
+        shapes[f"sage{l}_b"] = (config.hidden_dim,)
+        d_in = config.hidden_dim
+    h = config.hidden_dim
+    shapes["head_W1"] = (h, h)
+    shapes["head_b1"] = (h,)
+    shapes["head_W2"] = (h, config.num_chips)
+    shapes["head_b2"] = (config.num_chips,)
+    return shapes
+
+
 def init_params(config: ModelConfig, rng: np.random.Generator) -> PolicyParams:
     """Glorot-uniform weights, zero biases."""
     weights = {}
-
-    def glorot(fan_in, fan_out):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=(fan_in, fan_out))
-
-    d_in = config.feature_dim
-    for l in range(config.num_layers):
-        weights[f"sage{l}_W"] = glorot(3 * d_in, config.hidden_dim)
-        weights[f"sage{l}_b"] = np.zeros(config.hidden_dim)
-        d_in = config.hidden_dim
-    h = config.hidden_dim
-    weights["head_W1"] = glorot(h, h)
-    weights["head_b1"] = np.zeros(h)
-    weights["head_W2"] = glorot(h, config.num_chips)
-    weights["head_b2"] = np.zeros(config.num_chips)
+    for name, shape in weight_shapes(config).items():
+        if len(shape) == 2:
+            lim = np.sqrt(6.0 / (shape[0] + shape[1]))
+            weights[name] = rng.uniform(-lim, lim, size=shape)
+        else:
+            weights[name] = np.zeros(shape)
     return PolicyParams(config, weights)
 
 
@@ -283,7 +291,10 @@ def save_checkpoint(path, params: PolicyParams, meta: dict | None = None) -> Non
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Any file that does not decode as one raises :class:`CheckpointFormatError`.
+    Any file that does not decode as one raises :class:`CheckpointFormatError`,
+    and so does one whose weights are not exactly those of
+    :func:`weight_shapes` for its config, whose Adam moments are not one per
+    weight of the same shape, or that holds a NaN or infinity.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -323,4 +334,21 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     params.opt_m = section("adam_m.")
     params.opt_v = section("adam_v.")
     params.opt_t = opt_t
+    _check_arrays(path, params)
     return params, header.get("meta", {})
+
+
+def _check_arrays(path, params: PolicyParams) -> None:
+    """Raise CheckpointFormatError unless the arrays fit the config and are finite."""
+    want = weight_shapes(params.config)
+    tables = {"weights": params.weights}
+    if params.opt_m or params.opt_v:  # Adam makes both on its first step
+        tables.update(adam_m=params.opt_m, adam_v=params.opt_v)
+    for what, table in tables.items():
+        problems = [f"missing {k}" for k in want if k not in table]
+        problems += [f"unexpected {k}" for k in sorted(table) if k not in want]
+        problems += [f"{k} has shape {table[k].shape}, not {want[k]}"
+                     for k in want if k in table and table[k].shape != want[k]]
+        problems += [f"{k} holds a NaN or infinity" for k in sorted(table) if not np.isfinite(table[k]).all()]
+        if problems:
+            raise CheckpointFormatError(f"{path}: bad {what}: {'; '.join(problems)}")

@@ -114,10 +114,16 @@ class ConstraintSolver:
         c = topo.num_chips
         # A node on chip v forces chips 0..v-1 to be occupied by other
         # nodes, so no node can sit above chip n-1.  Equal full domains are
-        # already a propagation fixpoint with no chip edges.
+        # already a propagation fixpoint: no chip edges, every node covers
+        # every live chip, and the lowest bit is chip 0 everywhere, so no
+        # chip lies below it.  ``_chip_edges`` is the state propagate keeps
+        # for that fixpoint (see kernels.propagate).
         init_mask = (1 << min(c, max(n, 1))) - 1
         self._dom = [init_mask] * n
-        self._chip_edges = [0] * (3 * c)  # committed chip edges and look-ahead tables, kept by propagate
+        every = (1 << n) - 1
+        cover = [every if init_mask >> k & 1 else 0 for k in range(c)]
+        placed = init_mask if n and init_mask == 1 else 0
+        self._chip_edges = [0] * (3 * c) + cover + [placed, 0]
         self._trail: list[tuple[int, int, list, list]] = []
 
     @property
@@ -185,21 +191,33 @@ def _sample_from_mask(probs: list, mask: int, rng: np.random.Generator) -> int:
     """Draw a chip from ``probs`` renormalized over the domain ``mask``.
 
     Falls back to uniform over the domain when the distribution places no
-    mass on any allowed value, so excluded values are never sampled.
+    mass on any allowed value, so excluded values are never sampled.  Walks
+    the mask's bits lowest first, adding the weights one at a time and then
+    subtracting them in the same chip order (the builtin ``sum`` rounds
+    differently from Python 3.12 on).
     """
-    allowed = mask_to_values(mask)
-    if len(allowed) == 1:
-        return allowed[0]
-    weights = [probs[v] for v in allowed]
-    total = sum(weights)
+    if mask & (mask - 1) == 0:
+        return mask.bit_length() - 1
+    total = 0.0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        total += probs[bit.bit_length() - 1]
+        rest ^= bit
     if not 0.0 < total < float("inf"):
-        return allowed[rng.integers(0, len(allowed))]
+        rest = mask
+        for _ in range(rng.integers(0, mask.bit_count())):
+            rest &= rest - 1
+        return (rest & -rest).bit_length() - 1
     r = rng.random() * total
-    for v, w in zip(allowed, weights):
-        r -= w
-        if r < 0.0:
-            return v
-    return allowed[-1]
+    rest = mask
+    while True:
+        bit = rest & -rest
+        chip = bit.bit_length() - 1
+        r -= probs[chip]
+        rest ^= bit
+        if r < 0.0 or not rest:
+            return chip
 
 
 def _fail_first(dom: list, perm: list) -> int:

@@ -99,6 +99,43 @@ def test_value_head_checkpoint_is_a_format_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _break_head_W2(w):
+    del w["head_W2"]
+
+
+def _cut_head_W1(w):
+    w["head_W1"] = w["head_W1"][:, :-1]
+
+
+def _nan_head_b2(w):
+    w["head_b2"][0] = np.nan
+
+
+@pytest.mark.parametrize("damage", [_break_head_W2, _cut_head_W1, _nan_head_b2], ids=["no-head_W2", "short-head_W1", "nan-head_b2"])
+def test_checkpoint_that_does_not_fit_its_config_is_a_format_error(tmp_path, capsys, damage):
+    # a checkpoint as training leaves it, Adam moments included, with one
+    # weight damaged: neither command may run on it, and finetune writes
+    # no checkpoint
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", g])
+    params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
+    params.opt_m = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    params.opt_v = {k: np.ones_like(v) for k, v in params.weights.items()}
+    params.opt_t = 2
+    damage(params.weights)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, params)
+    out = tmp_path / "zs.csv"
+    assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 1, "--out", out]) == 1
+    _one_line_error(capsys, "checkpoint-format")
+    assert not out.exists()
+    tuned = tmp_path / "tuned.ckpt"
+    assert run(["finetune", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 2, "--out", out,
+                "--checkpoint-out", tuned]) == 1
+    _one_line_error(capsys, "checkpoint-format")
+    assert not out.exists() and not tuned.exists()
+
+
 def test_nan_cost_graph_is_a_parse_error(tmp_path, capsys):
     g = tmp_path / "g.json"
     run(["gen", "--family", "chain", "--nodes", 2, "--seed", 1, "--out", g])

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcmpart import (
     ChipTopology, ComputationGraph, DataEdge, GeneratorConfig, OpNode,
@@ -262,9 +263,29 @@ def random_partial_domains(g, c, rng):
     return dom
 
 
-def full_sweep(dom, preds, succs, num_chips):
-    """Propagate from every node, with no chip edges kept from a fixpoint."""
-    return kern.propagate(dom, preds, succs, num_chips, range(len(dom)), [0] * (3 * num_chips))
+def full_sweep(dom, preds, succs, num_chips, kept=None):
+    """Propagate from every node, with no state kept from a fixpoint.
+
+    The zeroed list holds no chip edges, no coverers, no placed chip and no
+    chip below m_bound; seeding every node rebuilds the last three.  Pass
+    ``kept`` to read the state the sweep writes back on success.
+    """
+    kept = [0] * (4 * num_chips + 2) if kept is None else kept
+    return kern.propagate(dom, preds, succs, num_chips, range(len(dom)), kept)
+
+
+def recounted_coverage(dom, num_chips):
+    """The coverage part of the kept state, recounted from ``dom``: each
+    chip's coverer set (bit v when chip c is in dom[v]), the chips that a
+    singleton domain sits on, and the chips below m_bound, the largest
+    lowest domain bit."""
+    cover = [sum(1 << v for v in range(len(dom)) if dom[v] >> c & 1) for c in range(num_chips)]
+    placed = 0
+    for d in dom:
+        if bin(d).count("1") == 1:
+            placed |= d
+    m_bound = max((_dom_min(d) for d in dom), default=0)
+    return cover + [placed, (1 << m_bound) - 1]
 
 
 def test_propagate_matches_reference_fixpoint():
@@ -286,6 +307,58 @@ def test_propagate_matches_reference_fixpoint():
         statuses.append(want)
     # both outcomes well represented
     assert 200 < sum(statuses) < 1800
+    empty = ComputationGraph([], [])
+    for c in (1, 3):
+        assert reference_propagate(np.zeros(0, np.int64), empty.edge_src, empty.edge_dst, c) == 0
+        assert full_sweep([], empty.preds, empty.succs, c) == 0  # nothing to cover, so no wipe-out
+
+
+@st.composite
+def propagation_cases(draw):
+    """A generated graph, a chip count, partial domains over it and a
+    further narrowing to apply after the first fixpoint.
+
+    Each domain is drawn as one int: 0 keeps every live chip, -k - 1 is the
+    singleton {k}, anything else is that subset; so examples shrink toward
+    full domains.  The narrowing is a pair of ints that pick, after the
+    fixpoint is known, an undecided node and one of its chips to drop.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    skip = draw(st.sampled_from((0.0, 0.25, 0.9, 1.0)))
+    g = generate_synthetic(GeneratorConfig(family, draw(st.integers(2, 24)), seed=draw(st.integers(0, 999)), skip_prob=skip))
+    c = draw(st.integers(1, 8))
+    full = (1 << min(c, g.num_nodes)) - 1
+    raw = draw(st.lists(st.integers(-full.bit_length(), full), min_size=g.num_nodes, max_size=g.num_nodes))
+    dom = [1 << (-x - 1) if x < 0 else x or full for x in raw]
+    return g, c, dom, draw(st.integers(0, 63)), draw(st.integers(0, 63))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(propagation_cases())
+def test_propagate_property_against_reference(case):
+    # A full sweep reaches the reference's status and fixpoint and keeps
+    # the coverage state of that fixpoint.  Then one chip of an undecided
+    # node is dropped and propagated from the kept state alone, seeded with
+    # that node; the reference must again agree, and the state still match.
+    g, c, dom, pick, drop = case
+    fast, slow = list(dom), np.array(dom, dtype=np.int64)
+    kept = [0] * (4 * c + 2)
+    for seeds in (range(len(fast)), None):
+        if seeds is None:
+            live = [u for u, d in enumerate(fast) if d & (d - 1)]
+            if not live:
+                return
+            u = live[pick % len(live)]
+            seeds = (u,)
+            fast[u] &= ~(1 << kern.mask_to_values(fast[u])[drop % bin(fast[u]).count("1")])
+            slow[u] = fast[u]
+        want = reference_propagate(slow, g.edge_src, g.edge_dst, c)
+        assert kern.propagate(fast, g.preds, g.succs, c, seeds, kept) == want, seeds
+        if want:
+            return
+        assert fast == slow.tolist(), seeds
+        assert kept[:c] == committed_chip_edges(fast, g.succs, c), seeds
+        assert kept[3 * c:] == recounted_coverage(fast, c), seeds
 
 
 def committed_chip_edges(dom, succs, num_chips):
@@ -300,11 +373,12 @@ def committed_chip_edges(dom, succs, num_chips):
 
 
 def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
-    # The solver seeds each call with the node it just narrowed and the chip
-    # edges it keeps on its trail; a full sweep from the same domains must
+    # The solver seeds each call with the node it just narrowed and the
+    # state it keeps on its trail; a full sweep from the same domains must
     # reach the same status, and on success the same fixpoint, with kept
-    # chip edges that match the ones the fixpoint commits.  After a
-    # wipe-out the solver discards the domains, so they are not compared.
+    # chip edges that match the ones the fixpoint commits and coverer sets,
+    # placed chips and m_bound that match a recount.  After a wipe-out the
+    # solver discards the domains, so they are not compared.
     seen = {"seeded": 0, "wipeouts": 0}
     seeded_sweep = kern.propagate
 
@@ -317,6 +391,7 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
         if want == 0:
             assert dom == full, (before, seeds)
             assert chip_edges[:num_chips] == committed_chip_edges(dom, succs, num_chips), (before, seeds)
+            assert chip_edges[3 * num_chips:] == recounted_coverage(dom, num_chips), (before, seeds)
         seen["seeded"] += 1
         seen["wipeouts"] += want
         return got
@@ -341,15 +416,17 @@ def test_seeded_propagate_matches_full_sweep_along_solver_trails(monkeypatch):
 def test_initial_domains_are_a_fixpoint(family):
     # The solver runs no propagation before its first decision, so a full
     # sweep from its initial domains must prune nothing and commit no chip
-    # edge.
+    # edge, and the state it rebuilds must be the one the solver starts
+    # from.
     for skip, c in itertools.product((0.25, 0.9), range(1, 9)):
         rng = np.random.default_rng(c)
         g = generate_synthetic(GeneratorConfig(family, int(rng.integers(2, 40)), seed=c, skip_prob=skip))
         solver = solver_mod.ConstraintSolver(g, ChipTopology(num_chips=c))
         dom = solver._dom.copy()
-        chip_edges = solver._chip_edges.copy()
-        assert kern.propagate(dom, g.preds, g.succs, c, range(g.num_nodes), chip_edges) == 0, (skip, c)
-        assert dom == solver._dom and chip_edges == [0] * (3 * c), (skip, c)
+        kept = [0] * (4 * c + 2)
+        assert full_sweep(dom, g.preds, g.succs, c, kept) == 0, (skip, c)
+        assert dom == solver._dom and kept[:3 * c] == [0] * (3 * c), (skip, c)
+        assert kept == solver._chip_edges == [0] * (3 * c) + recounted_coverage(dom, c), (skip, c)
 
 
 def test_check_static_matches_reference_oracle():

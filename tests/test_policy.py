@@ -248,6 +248,41 @@ def test_checkpoint_with_unknown_compute_dtype_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _trained_like(params):
+    params.opt_m = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    params.opt_v = {k: np.ones_like(v) for k, v in params.weights.items()}
+    params.opt_t = 3
+    return params
+
+
+@pytest.mark.parametrize("damage", [
+    lambda p: p.weights.pop("sage1_b"),
+    lambda p: p.weights.update(sage2_W=np.zeros((3, 3))),  # a layer the config lacks
+    lambda p: p.weights.update(head_W2=p.weights["head_W2"].T.copy()),
+    lambda p: p.opt_m.pop("head_b1"),
+    lambda p: p.opt_v.update(head_b1=np.ones(5)),
+    lambda p: p.opt_v.clear(),
+    lambda p: p.weights["sage0_W"].__setitem__((0, 0), np.inf),
+    lambda p: p.opt_m["head_b2"].__setitem__(1, np.nan),
+], ids=["missing-weight", "extra-weight", "wrong-shape", "missing-moment", "moment-shape", "half-the-moments",
+        "inf-weight", "nan-moment"])
+def test_checkpoint_arrays_must_fit_the_config_and_be_finite(tmp_path, damage):
+    params = _trained_like(tiny_params(num_chips=3, seed=4))
+    damage(params)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, params)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_and_without_moments_loads(tmp_path):
+    path = tmp_path / "p.ckpt"
+    for params in (tiny_params(num_chips=3, seed=4), _trained_like(tiny_params(num_chips=3, seed=4))):
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.opt_m.keys() == params.opt_m.keys() and loaded.opt_t == params.opt_t
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"NOTACKPT" + b"\x00" * 32)

@@ -17,8 +17,8 @@ from mcmpart import (
 )
 from mcmpart.errors import InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
 from mcmpart.generate import FAMILIES
-from mcmpart.kernels import propagate
-from mcmpart.solver import _luby
+from mcmpart.kernels import mask_to_values, propagate
+from mcmpart.solver import _luby, _sample_from_mask
 
 from conftest import make_graph
 
@@ -257,6 +257,43 @@ def test_sample_rejects_bad_distribution(chain4, topo2):
 def test_sample_step_budget(chain4, topo2):
     with pytest.raises(StepBudgetError):
         solve_sample(chain4, topo2, uniform_distribution(4, 2), np.random.default_rng(0), max_decisions=0)
+
+
+def tuple_sample_from_mask(probs, mask, rng):
+    """The draw as it stood when it built the allowed chips and their
+    weights as sequences: the reference for the bit walk."""
+    allowed = mask_to_values(mask)
+    if len(allowed) == 1:
+        return allowed[0]
+    weights = [probs[v] for v in allowed]
+    total = sum(weights)
+    if not 0.0 < total < float("inf"):
+        return allowed[rng.integers(0, len(allowed))]
+    r = rng.random() * total
+    for v, w in zip(allowed, weights):
+        r -= w
+        if r < 0.0:
+            return v
+    return allowed[-1]
+
+
+def test_sample_from_mask_matches_tuple_draw():
+    # Same chip and same generator state after every draw, for every mask
+    # of up to six chips, on uniform, peaked, zero-mass and infinite-mass
+    # rows and on rows whose weights do not sum to 1 in floating point.
+    draws = 0
+    for c in range(1, 7):
+        gen = np.random.default_rng(c)
+        rows = [[1.0 / c] * c, [0.0] * c, [float("inf")] + [1.0 / c] * (c - 1), [0.1] * c]
+        rows += [np.eye(c)[k].tolist() for k in range(c)]
+        rows += [[1.0 - 1e-9 * (c - 1)] + [1e-9] * (c - 1), gen.dirichlet([0.2] * c).tolist()]
+        for probs, mask in itertools.product(rows, range(1, 1 << c)):
+            old, new = np.random.default_rng(mask), np.random.default_rng(mask)
+            for _ in range(8):
+                assert _sample_from_mask(probs, mask, new) == tuple_sample_from_mask(probs, mask, old), (probs, mask)
+                assert new.bit_generator.state == old.bit_generator.state, (probs, mask)
+                draws += 1
+    assert draws > 10_000, draws
 
 
 def _stall_every_decision(monkeypatch):
