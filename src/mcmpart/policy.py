@@ -15,6 +15,25 @@ by default), on the features and neighbor-mean operators of
 and the gradients they accumulate stay float64, as do the log-softmax and
 everything the PPO loss computes from it, so small updates are not lost
 to float32 rounding and checkpoints keep their float64 layout.
+
+The neighbor means are dense GEMMs over dense operators, but a product
+skips the all-zero column ranges of the operator: :class:`GraphFeatures`
+records, for each block of :data:`ROW_BLOCK` rows, the first and last
+column holding a nonzero, and multiplies only that envelope (see
+:class:`NeighborMean`).  The generator numbers nodes in topological order
+and most edges are short, so on layered-200 the blocks cover a sixth of
+the matrix.  Layer 0's forward products, on the raw features, stay single
+GEMMs: at that width a dense product costs microseconds, and OpenBLAS
+rounds some narrow odd widths differently when the inner dimension is cut,
+so blocking there would move fixed-seed outputs for no gain.  The backward
+pass never multiplies at that width, because layer 0 computes no input
+gradient.
+
+A pass writes its activations and scratch into a :class:`Workspace`
+sized from the graph and the config, so a training batch does not
+allocate (and page-fault in) fresh arrays for every pass.  The forward
+cache refers into the workspace: it is valid until the next forward on
+the same workspace, and :func:`backward_policy` raises on a stale one.
 """
 
 from __future__ import annotations
@@ -22,6 +41,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +52,7 @@ from .graph import ComputationGraph
 CHECKPOINT_MAGIC = b"MCMPCKPT"
 CHECKPOINT_VERSION = 1
 COMPUTE_DTYPES = ("float32", "float64")
+ROW_BLOCK = 32  # rows per block of a neighbor-mean product
 
 
 @dataclass(frozen=True)
@@ -53,6 +74,10 @@ class ModelConfig:
     compute_dtype: str = "float32"
 
     def __post_init__(self):
+        for name in ("num_chips", "num_layers", "hidden_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.compute_dtype not in COMPUTE_DTYPES:
             raise InvalidConfigError(f"compute_dtype must be one of {COMPUTE_DTYPES}, got {self.compute_dtype!r}")
 
@@ -128,14 +153,70 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> PolicyParams:
     return PolicyParams(config, weights)
 
 
+def _envelope(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
+    """``(r0, r1, c0, c1)`` per block of ``ROW_BLOCK`` rows of an n x n matrix
+    whose nonzeros sit at ``(rows, cols)``: columns c0 to c1 - 1 hold every
+    nonzero of rows r0 to r1 - 1, and c0 == c1 when those rows hold none."""
+    count = -(-n // ROW_BLOCK)
+    lo = np.full(count, n, dtype=np.int64)
+    hi = np.zeros(count, dtype=np.int64)
+    np.minimum.at(lo, rows // ROW_BLOCK, cols)
+    np.maximum.at(hi, rows // ROW_BLOCK, cols + 1)
+    return [(b * ROW_BLOCK, min((b + 1) * ROW_BLOCK, n), int(min(lo[b], hi[b])), int(hi[b])) for b in range(count)]
+
+
+class NeighborMean:
+    """The product ``a @ x`` with one fixed n x n neighbor-mean operator ``a``.
+
+    ``blocks`` holds ``(r0, r1, c0, c1, a[r0:r1, c0:c1])`` for each block of
+    ``envelope``, with ``None`` for the view of a block that holds no
+    nonzero; such rows of the product are zero.  Any node order gives the
+    right product, but only short edges make the blocks small.  When they
+    cover more than half of the matrix, ``blocks`` is ``None`` and the
+    product is one GEMM, as it is for the 24-node graphs of a small corpus.
+    """
+
+    __slots__ = ("a", "blocks")
+
+    def __init__(self, a: np.ndarray, envelope: list):
+        self.a = a
+        covered = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in envelope)
+        if 2 * covered > a.shape[0] * a.shape[1]:
+            self.blocks = None
+        else:
+            self.blocks = [(r0, r1, c0, c1, a[r0:r1, c0:c1] if c1 > c0 else None) for r0, r1, c0, c1 in envelope]
+
+    def into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write ``a @ x`` into ``out``."""
+        if self.blocks is None:
+            np.matmul(self.a, x, out=out)
+            return
+        for r0, r1, c0, c1, block in self.blocks:
+            if block is None:
+                out[r0:r1] = 0.0
+            else:
+                np.matmul(block, x[c0:c1], out=out[r0:r1])
+
+
 class GraphFeatures:
     """Per-graph feature matrix and row-normalized neighbor-mean operators,
-    in the config's compute dtype."""
+    in the config's compute dtype.
+
+    ``a_in`` and ``a_out`` are dense.  The four products a pass makes with
+    them skip each row block's all-zero columns: ``in_mean`` and
+    ``out_mean`` give ``a_in @ h`` and ``a_out @ h``, ``in_mean_t`` and
+    ``out_mean_t`` give ``a_in.T @ dz`` and ``a_out.T @ dz``.  ``a_in.T``
+    has the nonzero pattern of ``a_out``, so each envelope serves two of
+    them.  The blocks are views of ``a_in`` and ``a_out``; a pass's buffers
+    live in a :class:`Workspace`, not here, so keeping one instance per
+    graph of a corpus keeps no activations.
+    """
 
     def __init__(self, g: ComputationGraph, config: ModelConfig):
         self.config = config
         dtype = np.dtype(config.compute_dtype)
         n = g.num_nodes
+        self.num_nodes = n
         vocab = {op: i for i, op in enumerate(config.op_vocab)}
         unknown = len(config.op_vocab)
         base = np.zeros((n, config.feature_dim), dtype=dtype)
@@ -173,6 +254,12 @@ class GraphFeatures:
         out_cnt = a_out.sum(axis=1, keepdims=True)
         self.a_in = np.divide(a_in, in_cnt, out=a_in, where=in_cnt > 0)
         self.a_out = np.divide(a_out, out_cnt, out=a_out, where=out_cnt > 0)
+        env_in = _envelope(g.edge_dst, g.edge_src, n)
+        env_out = _envelope(g.edge_src, g.edge_dst, n)
+        self.in_mean = NeighborMean(self.a_in, env_in)
+        self.out_mean = NeighborMean(self.a_out, env_out)
+        self.in_mean_t = NeighborMean(self.a_in.T, env_out)
+        self.out_mean_t = NeighborMean(self.a_out.T, env_in)
 
     def features(self, prev_actions=None) -> np.ndarray:
         """Feature matrix with the previous-action block filled (zeros at t=1)."""
@@ -183,56 +270,132 @@ class GraphFeatures:
         return x
 
 
-def forward_policy(params: PolicyParams, feats: GraphFeatures, x: np.ndarray, need_cache: bool = False):
+class Workspace:
+    """The buffers of forward and backward passes of one config over graphs
+    of ``num_nodes`` nodes, in the config's compute dtype.
+
+    ``z[l]`` holds layer l's ``concat(h, mean_in, mean_out)`` and ``h[l]``
+    its output; ``t1`` holds the head's hidden activations.  Backward's
+    scratch is ``da`` and ``dh`` (N x hidden), ``dz`` (N x 3 hidden) and
+    ``dw``, a weight-gradient product before it is added into the float64
+    gradients.  ``generation`` counts the forward passes run here.
+
+    A caller makes one for a batch of passes and drops it when the batch
+    ends (see ``training.rollouts`` and ``training.ppo_update``), so no
+    workspace outlives its batch, whatever the number of graphs.
+    """
+
+    def __init__(self, config: ModelConfig, num_nodes: int):
+        dtype = np.dtype(config.compute_dtype)
+        n, hid = num_nodes, config.hidden_dim
+        widths = [config.feature_dim] + [hid] * (config.num_layers - 1)
+        self.config = config
+        self.num_nodes = n
+        self.names = [(f"sage{l}_W", f"sage{l}_b") for l in range(config.num_layers)]
+        self.z = [np.empty((n, 3 * d), dtype) for d in widths]
+        self.h = [np.empty((n, hid), dtype) for _ in widths]
+        self.t1 = np.empty((n, hid), dtype)
+        self.da = np.empty((n, hid), dtype)
+        self.dh = np.empty((n, hid), dtype)
+        self.dz = np.empty((n, 3 * hid), dtype)
+        self.dw = np.empty((3 * max(widths), hid), dtype)
+        self.generation = 0
+
+
+class ForwardCache(NamedTuple):
+    """What :func:`backward_policy` reads of one forward pass: views into
+    ``workspace``, valid while its generation is still ``generation``."""
+
+    workspace: Workspace
+    generation: int
+
+
+def forward_policy(params: PolicyParams, feats: GraphFeatures, x: np.ndarray, need_cache: bool = False,
+                   ws: Workspace | None = None):
     """Run embedding layers and head; returns (logits, cache), both in the
-    compute dtype.  Pass ``params.for_compute()`` to skip the weight cast."""
+    compute dtype.  Pass ``params.for_compute()`` to skip the weight cast.
+
+    The activations go into ``ws``, a fresh workspace when it is ``None``.
+    The logits are a new array, but the cache is a view of ``ws``: the next
+    forward on ``ws`` overwrites it, and :func:`backward_policy` then
+    refuses it.
+    """
     cfg = params.config
     w = params.for_compute().weights
     if x.shape[1] != cfg.feature_dim:
         raise DimensionMismatchError(f"feature dim {x.shape[1]} != model feature dim {cfg.feature_dim}")
+    if ws is None:
+        ws = Workspace(cfg, x.shape[0])
+    elif ws.num_nodes != x.shape[0] or (ws.config is not cfg and ws.config != cfg):
+        raise DimensionMismatchError(f"workspace for {ws.num_nodes} nodes does not fit this pass")
+    ws.generation += 1
     h = x
-    layer_cache = []
-    for l in range(cfg.num_layers):
-        z = np.concatenate([h, feats.a_in @ h, feats.a_out @ h], axis=1)
-        h_new = np.tanh(z @ w[f"sage{l}_W"] + w[f"sage{l}_b"])
-        if need_cache:
-            layer_cache.append((z, h_new))
+    for l, (z, h_new, (w_name, b_name)) in enumerate(zip(ws.z, ws.h, ws.names)):
+        d = h.shape[1]
+        z[:, :d] = h
+        if l:
+            feats.in_mean.into(h, z[:, d : 2 * d])
+            feats.out_mean.into(h, z[:, 2 * d :])
+        else:  # the raw features: single GEMMs (see the module docstring)
+            np.matmul(feats.a_in, h, out=z[:, d : 2 * d])
+            np.matmul(feats.a_out, h, out=z[:, 2 * d :])
+        np.matmul(z, w[w_name], out=h_new)
+        h_new += w[b_name]
+        np.tanh(h_new, out=h_new)
         h = h_new
-    t1 = np.tanh(h @ w["head_W1"] + w["head_b1"])
+    t1 = ws.t1
+    np.matmul(h, w["head_W1"], out=t1)
+    t1 += w["head_b1"]
+    np.tanh(t1, out=t1)
     logits = t1 @ w["head_W2"] + w["head_b2"]
-    cache = (h, t1, layer_cache) if need_cache else None
-    return logits, cache
+    return logits, ForwardCache(ws, ws.generation) if need_cache else None
 
 
-def backward_policy(params: PolicyParams, feats: GraphFeatures, cache, dlogits: np.ndarray, grads: dict):
+def backward_policy(params: PolicyParams, feats: GraphFeatures, cache: ForwardCache, dlogits: np.ndarray, grads: dict):
     """Accumulate loss gradients for one forward pass into ``grads``.
 
     The backward GEMMs run in the compute dtype, ``dlogits`` included; each
-    product is added into the float64 ``grads``.
+    product is added into the float64 ``grads``.  Raises ``ValueError`` if
+    another forward has run on the cache's workspace since.
     """
-    cfg = params.config
+    ws, generation = cache
+    if generation != ws.generation:
+        raise ValueError(f"stale forward cache: generation {generation}, workspace at {ws.generation}")
     w = params.for_compute().weights
-    h, t1, layer_cache = cache
+    t1, da, dh, dz, dw = ws.t1, ws.da, ws.dh, ws.dz, ws.dw
+    h = ws.h[-1]
+    hid = h.shape[1]
     dlogits = dlogits.astype(t1.dtype, copy=False)
 
     grads["head_W2"] += t1.T @ dlogits
     grads["head_b2"] += dlogits.sum(axis=0)
-    dt1 = dlogits @ w["head_W2"].T
-    da1 = dt1 * (1.0 - t1 * t1)
-    grads["head_W1"] += h.T @ da1
-    grads["head_b1"] += da1.sum(axis=0)
-    dh = da1 @ w["head_W1"].T
+    np.matmul(dlogits, w["head_W2"].T, out=dh)  # the gradient of t1, until da holds that of its pre-activation
+    np.multiply(t1, t1, out=da)
+    np.subtract(1.0, da, out=da)
+    da *= dh
+    np.matmul(h.T, da, out=dw[:hid])
+    grads["head_W1"] += dw[:hid]
+    grads["head_b1"] += da.sum(axis=0)
+    np.matmul(da, w["head_W1"].T, out=dh)
 
-    for l in range(cfg.num_layers - 1, -1, -1):
-        z, h_new = layer_cache[l]
-        da = dh * (1.0 - h_new * h_new)
-        grads[f"sage{l}_W"] += z.T @ da
-        grads[f"sage{l}_b"] += da.sum(axis=0)
+    for l in range(len(ws.z) - 1, -1, -1):
+        z, h_new = ws.z[l], ws.h[l]
+        w_name, b_name = ws.names[l]
+        np.multiply(h_new, h_new, out=da)
+        np.subtract(1.0, da, out=da)
+        da *= dh
+        gw = dw[: z.shape[1]]
+        np.matmul(z.T, da, out=gw)
+        grads[w_name] += gw
+        grads[b_name] += da.sum(axis=0)
         if l == 0:
             break  # the input features need no gradient
-        dz = da @ w[f"sage{l}_W"].T
-        d_in = z.shape[1] // 3
-        dh = dz[:, :d_in] + feats.a_in.T @ dz[:, d_in : 2 * d_in] + feats.a_out.T @ dz[:, 2 * d_in :]
+        np.matmul(da, w[w_name].T, out=dz)
+        # dh = dz_self + a_in.T @ dz_in + a_out.T @ dz_out, summed in that order
+        feats.in_mean_t.into(dz[:, hid : 2 * hid], dh)
+        dh += dz[:, :hid]
+        feats.out_mean_t.into(dz[:, 2 * hid :], da)
+        dh += da
     return grads
 
 

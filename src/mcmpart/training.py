@@ -22,6 +22,7 @@ from .policy import (
     GraphFeatures,
     ModelConfig,
     PolicyParams,
+    Workspace,
     backward_policy,
     forward_policy,
     init_params,
@@ -66,9 +67,12 @@ class Rollout:
     throughput: float = 0.0  # the evaluator's score of the partition; 0 unless valid
 
 
-def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndarray] = None, need_cache: bool = False):
+def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndarray] = None, need_cache: bool = False,
+              ws: Optional[Workspace] = None):
     """Per-node chip log-probs of one refinement step given the previous
     step's actions, and the forward cache (``None`` unless ``need_cache``).
+    The pass runs in ``ws`` (see :func:`forward_policy`); the log-probs are
+    a new array either way, so they stay valid after later passes.
 
     The rollout's draws and the PPO replay both come from here, so the
     replay recomputes exactly what the rollout sampled from.  The forward
@@ -78,7 +82,7 @@ def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndar
     steps under the same weights pass ``params.for_compute()``, so the
     weights are cast once, not once per step.
     """
-    logits, cache = forward_policy(params, feats, feats.features(prev), need_cache=need_cache)
+    logits, cache = forward_policy(params, feats, feats.features(prev), need_cache=need_cache, ws=ws)
     return log_softmax(logits.astype(np.float64, copy=False)), cache
 
 
@@ -93,12 +97,14 @@ def rollout(
     baseline: float,
     first_logp: np.ndarray,
     use_solver: bool = True,
+    ws: Optional[Workspace] = None,
 ) -> Rollout:
     """One sample: refine, repair through the solver, evaluate, score.
 
     ``first_logp`` is step 0's ``step_logp(params, feats)``, which
     :func:`rollouts` computes once per batch; ``baseline`` is the greedy
-    throughput that normalizes the reward.
+    throughput that normalizes the reward.  The later steps' passes run in
+    ``ws``.
     """
     if topo.num_chips != params.config.num_chips:
         raise InvalidConfigError(f"model built for {params.config.num_chips} chips, topology has {topo.num_chips}")
@@ -109,7 +115,7 @@ def rollout(
     lp = first_logp
     for t in range(t_steps):
         if t:
-            lp, _ = step_logp(params, feats, actions[t - 1])
+            lp, _ = step_logp(params, feats, actions[t - 1], ws=ws)
         P = np.exp(lp)
         y = sample_rows(P, rng)
         actions[t] = y
@@ -148,11 +154,13 @@ def rollouts(
 
     Step 0 sees the same features in every rollout, so its pass runs once
     for the whole batch; the draws are those of ``count`` separate passes.
-    The weights are cast to the compute dtype once for the batch.
+    The weights are cast to the compute dtype once for the batch, and every
+    pass runs in one workspace that is dropped when the batch is drawn.
     """
     params = params.for_compute()
-    first, _ = step_logp(params, feats)
-    return [rollout(g, topo, params, cfg, rng, evaluator, feats, baseline, first, use_solver) for _ in range(count)]
+    ws = Workspace(params.config, feats.num_nodes)
+    first, _ = step_logp(params, feats, ws=ws)
+    return [rollout(g, topo, params, cfg, rng, evaluator, feats, baseline, first, use_solver, ws) for _ in range(count)]
 
 
 def _clipped_step(lp: np.ndarray, y: np.ndarray, old_lp: np.ndarray, adv: np.ndarray, inv_m: float, cfg: PpoConfig):
@@ -191,11 +199,16 @@ def ppo_loss_and_grads(
     advantages: np.ndarray,
     cfg: PpoConfig,
     feats: GraphFeatures,
+    ws: Optional[Workspace] = None,
+    grads: Optional[dict] = None,
 ):
     """Clipped-surrogate loss plus entropy bonus.
 
     Returns (loss, grads, stats): stats holds the surrogate and entropy
-    terms of the loss, and grads cover every weight array, in float64.  The
+    terms of the loss, and grads cover every weight array, in float64.
+    ``grads``, when given, is zeroed and filled in place; each pass runs in
+    ``ws`` and its backward reads the cache before the next forward.  Both
+    are made fresh when not given.  The
     replay conditions on the stored actions through :func:`step_logp`, so
     it recomputes what the rollouts sampled from.  Each forward pass serves
     every rollout that shares its input: step 0 runs once for the whole
@@ -203,7 +216,11 @@ def ppo_loss_and_grads(
     backward, and each later step runs once per rollout.  The weights are
     cast to the compute dtype once for the minibatch.
     """
-    grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    if grads is None:
+        grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    else:
+        for v in grads.values():
+            v.fill(0.0)
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
     if n_elems == 0:
         return 0.0, grads, {"surrogate": 0.0, "entropy": 0.0}
@@ -211,6 +228,8 @@ def ppo_loss_and_grads(
     loss_sur = 0.0
     loss_ent = 0.0
     compute = params.for_compute()
+    if ws is None:
+        ws = Workspace(compute.config, feats.num_nodes)
     # every forward pass: its previous actions, then the actions, stored
     # log-probs and advantages of the rollouts that share it
     passes = [(None, np.stack([ro.actions[0] for ro in rollouts]), np.stack([ro.old_logp[0] for ro in rollouts]),
@@ -221,7 +240,7 @@ def ppo_loss_and_grads(
         for t in range(1, ro.actions.shape[0])
     ]
     for prev, y, old_lp, adv in passes:
-        lp, cache = step_logp(compute, feats, prev, need_cache=True)
+        lp, cache = step_logp(compute, feats, prev, need_cache=True, ws=ws)
         sur, ent, dlogits = _clipped_step(lp, y, old_lp, adv, inv_m, cfg)
         loss_sur -= inv_m * sur
         loss_ent -= inv_m * cfg.entropy_bonus * ent
@@ -261,19 +280,22 @@ def ppo_update(
     Advantages are rewards minus ``baseline_reward``, the caller's reward
     baseline for this graph: a moving average in :func:`train`, the batch
     mean in ``pretrain``.  A non-finite loss aborts the update before any
-    weight is touched in that minibatch.
+    weight is touched in that minibatch.  Every minibatch's passes run in
+    one workspace and fill one gradient set, both dropped on return.
     """
     rewards = np.array([r.reward for r in rollouts], dtype=np.float64)
     advantages = rewards - baseline_reward
     stats = {"loss": 0.0, "aborted": False, "mean_reward": float(rewards.mean()) if len(rewards) else 0.0}
     updates = 0
+    ws = Workspace(params.config, feats.num_nodes)
+    grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
     for _ in range(cfg.num_epochs):
         perm = rng.permutation(len(rollouts))
         for chunk in np.array_split(perm, cfg.num_minibatches):
             if len(chunk) == 0:
                 continue
             batch = [rollouts[i] for i in chunk]
-            loss, grads, _ = ppo_loss_and_grads(params, batch, advantages[chunk], cfg, feats)
+            loss, grads, _ = ppo_loss_and_grads(params, batch, advantages[chunk], cfg, feats, ws=ws, grads=grads)
             if not math.isfinite(loss):
                 stats["aborted"] = True
                 return stats

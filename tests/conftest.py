@@ -20,6 +20,62 @@ def make_graph(num_nodes, edges, costs=None, out_bytes=None, param_bytes=None, o
     return ComputationGraph(nodes, data_edges)
 
 
+def relabeled(g, perm):
+    """``g`` with node ``perm[i]`` renamed ``i``."""
+    inv = np.empty(len(perm), dtype=np.int64)
+    inv[perm] = np.arange(len(perm))
+    return make_graph(
+        g.num_nodes,
+        [(int(inv[e.src]), int(inv[e.dst])) for e in g.edges],
+        costs=[float(g.compute_cost[p]) for p in perm],
+        out_bytes=[int(g.output_bytes[p]) for p in perm],
+        param_bytes=[int(g.param_bytes[p]) for p in perm],
+        ops=[g.nodes[p].op_kind for p in perm],
+    )
+
+
+def reference_forward(params, feats, x):
+    """The policy's forward pass written with one dense GEMM per neighbor
+    mean and fresh arrays throughout; returns (logits, cache)."""
+    cfg = params.config
+    w = params.for_compute().weights
+    h = x
+    layer_cache = []
+    for l in range(cfg.num_layers):
+        z = np.concatenate([h, feats.a_in @ h, feats.a_out @ h], axis=1)
+        h_new = np.tanh(z @ w[f"sage{l}_W"] + w[f"sage{l}_b"])
+        layer_cache.append((z, h_new))
+        h = h_new
+    t1 = np.tanh(h @ w["head_W1"] + w["head_b1"])
+    logits = t1 @ w["head_W2"] + w["head_b2"]
+    return logits, (h, t1, layer_cache)
+
+
+def reference_backward(params, feats, cache, dlogits, grads):
+    """The backward pass of :func:`reference_forward`, accumulated into ``grads``."""
+    w = params.for_compute().weights
+    h, t1, layer_cache = cache
+    dlogits = dlogits.astype(t1.dtype, copy=False)
+    grads["head_W2"] += t1.T @ dlogits
+    grads["head_b2"] += dlogits.sum(axis=0)
+    dt1 = dlogits @ w["head_W2"].T
+    da1 = dt1 * (1.0 - t1 * t1)
+    grads["head_W1"] += h.T @ da1
+    grads["head_b1"] += da1.sum(axis=0)
+    dh = da1 @ w["head_W1"].T
+    for l in range(params.config.num_layers - 1, -1, -1):
+        z, h_new = layer_cache[l]
+        da = dh * (1.0 - h_new * h_new)
+        grads[f"sage{l}_W"] += z.T @ da
+        grads[f"sage{l}_b"] += da.sum(axis=0)
+        if l == 0:
+            break
+        dz = da @ w[f"sage{l}_W"].T
+        d_in = z.shape[1] // 3
+        dh = dz[:, :d_in] + feats.a_in.T @ dz[:, d_in : 2 * d_in] + feats.a_out.T @ dz[:, 2 * d_in :]
+    return grads
+
+
 def _edit_config(path, edit):
     """Rewrite a checkpoint's header after ``edit`` changed its config, laid
     out as a writer whose config was the edited one would have written it."""

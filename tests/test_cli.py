@@ -99,6 +99,23 @@ def test_value_head_checkpoint_is_a_format_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_layerless_checkpoint_is_a_format_error(tmp_path, capsys):
+    # the arrays of a policy with no aggregation layer, under a header that
+    # says so: it used to load, and zeroshot then died in the head's first
+    # product with a multi-line traceback
+    g = tmp_path / "g.json"
+    run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", g])
+    params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
+    params.weights = {k: v for k, v in params.weights.items() if k.startswith("head_")}
+    ckpt = tmp_path / "layerless.ckpt"
+    save_checkpoint(ckpt, params)
+    with_config_entry(ckpt, "num_layers", 0)
+    out = tmp_path / "zs.csv"
+    assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 1, "--out", out]) == 1
+    _one_line_error(capsys, "checkpoint-format")
+    assert not out.exists()
+
+
 def _break_head_W2(w):
     del w["head_W2"]
 

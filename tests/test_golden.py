@@ -26,6 +26,13 @@ The stored partitions (``data/golden_partitions.json``, one digit string
 per partition) are the ``random_search`` samples of the same seeds under
 the random-order solver, so the evaluator pin does not move when the
 solver's search order does.
+
+The ``train`` digests pin the policy's numerics: one ``train_from_scratch``
+batch of 20 samples and its PPO update (two epochs), at the ``tiny`` and
+``default`` profiles in float32, hashing the rewards and the final master
+weights.  layered-100/2 is long enough that the neighbor means run in row
+blocks.  They were recorded while every neighbor mean was still one dense
+GEMM into freshly allocated arrays.
 """
 
 import hashlib
@@ -35,9 +42,11 @@ from pathlib import Path
 import numpy as np
 
 from mcmpart import ChipTopology, GeneratorConfig, generate_synthetic
-from mcmpart.evaluator import SurrogateConfig, analytical_eval, surrogate_eval
+from mcmpart.evaluator import SurrogateConfig, analytical_eval, make_analytical, surrogate_eval
+from mcmpart.policy import ModelConfig
 from mcmpart.search import SearchBudget, greedy_heuristic, random_search
 from mcmpart.solver import solve_fix
+from mcmpart.training import PpoConfig, train_from_scratch
 
 # (family, nodes, chips, skip_prob): the benchmark's light search cases
 FINISHING = (
@@ -62,6 +71,11 @@ GOLDEN = {
     'solve_fix:layered-50/4': '11596ca71d765caf671faff6140bb291fddb90a362153568aeac33618e82445a',
     'solve_fix:cnn-like-40/4': 'a6355d87ec9c46818a7e20caecd523feaec3ff090614f084de07559930dcbcc6',
     'solve_fix:rnn-like-30/4': '183ef29e614f74ad084e6529999f868836fc756f5f8fa9e0813a979fb1f2b09a',
+}
+
+TRAIN_GOLDEN = {
+    'train:tiny:layered-100/2': '0bc5f083ef6ab36b5c10df802d6e5acf1c242af56b1cf4be1f7b5b5d4d1e9dd5',
+    'train:default:layered-100/2': '9ec71a95c285db558858d5628350861fc44afa024ff520b2f4a82f55d8aafff5',
 }
 
 SURROGATES = {
@@ -136,6 +150,19 @@ def golden_digests() -> dict:
     return out
 
 
+def train_digests() -> dict:
+    out = {}
+    g, topo = _case("layered", 100, 2, 0.25)
+    for profile, model in (("tiny", ModelConfig.tiny(2)), ("default", ModelConfig(num_chips=2))):
+        params, trace = train_from_scratch(g, topo, PpoConfig(num_epochs=2), SearchBudget(max_samples=20),
+                                           make_analytical(), np.random.default_rng(0), model_config=model)
+        h = hashlib.sha256(",".join(repr(float(v)) for v in trace.throughput).encode())
+        for name in sorted(params.weights):
+            h.update(params.weights[name].tobytes())
+        out[f"train:{profile}:{_name('layered', 100, 2, 0.25)}"] = h.hexdigest()
+    return out
+
+
 STORED_PARTITIONS = Path(__file__).parent / "data" / "golden_partitions.json"
 
 
@@ -176,9 +203,16 @@ def test_evaluator_outputs_match_golden_digests():
     assert evaluator_digests() == EVAL_GOLDEN
 
 
+def test_train_outputs_match_golden_digests():
+    assert train_digests() == TRAIN_GOLDEN
+
+
 if __name__ == "__main__":
     for key, value in golden_digests().items():
         print(f"    {key!r}: {value!r},")
     print()
     for key, value in evaluator_digests().items():
+        print(f"    {key!r}: {value!r},")
+    print()
+    for key, value in train_digests().items():
         print(f"    {key!r}: {value!r},")

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcmpart import ChipTopology, GeneratorConfig, generate_synthetic
 from mcmpart.errors import CheckpointFormatError, DimensionMismatchError, InvalidConfigError
 from mcmpart.evaluator import make_analytical
+from mcmpart.generate import FAMILIES
 from mcmpart.pipeline import fine_tune
 from mcmpart.policy import (
+    COMPUTE_DTYPES,
+    ROW_BLOCK,
     GraphFeatures,
     ModelConfig,
+    Workspace,
+    backward_policy,
     forward_policy,
     init_params,
     load_checkpoint,
@@ -18,7 +24,14 @@ from mcmpart.policy import (
 from mcmpart.search import SearchBudget
 from mcmpart.training import PpoConfig
 
-from conftest import make_graph, with_config_entry, without_config_entry
+from conftest import (
+    make_graph,
+    reference_backward,
+    reference_forward,
+    relabeled,
+    with_config_entry,
+    without_config_entry,
+)
 
 
 def tiny_params(num_chips=2, seed=0, compute_dtype="float32"):
@@ -29,7 +42,7 @@ def embeddings(g, params):
     """Per-node embeddings after all aggregation layers, at the first step."""
     feats = GraphFeatures(g, params.config)
     _, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
-    return cache[0]
+    return cache.workspace.h[-1]
 
 
 def distribution(g, params):
@@ -91,17 +104,7 @@ def test_permutation_equivariance():
     P = distribution(g, params)
 
     perm = np.random.default_rng(3).permutation(9)
-    inv = np.empty(9, dtype=np.int64)
-    inv[perm] = np.arange(9)
-    relabeled = make_graph(
-        9,
-        [(int(inv[e.src]), int(inv[e.dst])) for e in g.edges],
-        costs=[float(g.compute_cost[perm[i]]) for i in range(9)],
-        out_bytes=[int(g.output_bytes[perm[i]]) for i in range(9)],
-        param_bytes=[int(g.param_bytes[perm[i]]) for i in range(9)],
-        ops=[g.nodes[perm[i]].op_kind for i in range(9)],
-    )
-    P2 = distribution(relabeled, params)
+    P2 = distribution(relabeled(g, perm), params)
     np.testing.assert_allclose(P2, P[perm], atol=1e-10)
 
 
@@ -190,7 +193,7 @@ def test_features_and_passes_run_in_the_compute_dtype(compute_dtype):
     feats = GraphFeatures(g, params.config)
     assert {feats.base.dtype, feats.a_in.dtype, feats.a_out.dtype} == {np.dtype(compute_dtype)}
     logits, cache = forward_policy(params, feats, feats.features(None), need_cache=True)
-    assert logits.dtype == cache[0].dtype == np.dtype(compute_dtype)
+    assert logits.dtype == cache.workspace.h[-1].dtype == np.dtype(compute_dtype)
     compute = params.for_compute()
     assert compute.for_compute() is compute
     assert all(v.dtype == np.dtype(compute_dtype) for v in compute.weights.values())
@@ -310,3 +313,145 @@ def test_feature_dim_mismatch_raises():
     feats3 = GraphFeatures(g, ModelConfig.tiny(num_chips=3))
     with pytest.raises(DimensionMismatchError):
         forward_policy(params, feats3, feats3.features(None))
+
+
+@pytest.mark.parametrize("field", ["num_chips", "num_layers", "hidden_dim"])
+@pytest.mark.parametrize("value", [0, -1, True, 2.0, "8"])
+def test_degenerate_model_config_rejected(field, value):
+    kw = {"num_chips": 2, field: value}
+    with pytest.raises(InvalidConfigError):
+        ModelConfig(**kw)
+
+
+def test_model_config_accepts_numpy_ints():
+    assert ModelConfig(num_chips=np.int64(3), num_layers=np.int32(1)).num_layers == 1
+
+
+# ---- the passes against the dense reference --------------------------------
+
+
+@st.composite
+def policy_cases(draw):
+    """A generated graph with its node ids shuffled within windows of a drawn
+    width (1 keeps the generator's topological order, N shuffles every id),
+    a chip count, previous actions or none, a logit gradient and a seed.
+
+    Local shuffles keep the blocks engaged with wide, ragged envelopes;
+    global ones push most graphs onto the single-GEMM path.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(64, 120) | st.integers(2, 63))  # most cases span several blocks
+    skip = draw(st.sampled_from((0.0, 0.25, 0.9)))
+    g = generate_synthetic(GeneratorConfig(family, n, seed=draw(st.integers(0, 999)), skip_prob=skip))
+    window = draw(st.sampled_from((1, 4, 16, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = np.concatenate([lo + rng.permutation(min(window, n - lo)) for lo in range(0, n, window)])
+    chips = draw(st.integers(1, 4))
+    prev = rng.integers(0, chips, size=n) if draw(st.booleans()) else None
+    return relabeled(g, perm), chips, prev, rng.standard_normal((n, chips)), int(rng.integers(2**32))
+
+
+def covered(mean):
+    """Cells of the operator that its products multiply."""
+    a = mean.a
+    if mean.blocks is None:
+        return np.ones(a.shape, dtype=bool)
+    mask = np.zeros(a.shape, dtype=bool)
+    rows = []
+    for r0, r1, c0, c1, block in mean.blocks:
+        rows.append((r0, r1))
+        mask[r0:r1, c0:c1] = True
+        assert (block is None) == (c0 == c1)
+        assert block is None or np.shares_memory(block, a)
+    n = a.shape[0]
+    assert rows == [(r, min(r + ROW_BLOCK, n)) for r in range(0, n, ROW_BLOCK)]  # every row in one block
+    return mask
+
+
+def check_passes_against_reference(config, case):
+    # the blocked, in-place passes against the dense ones they replaced;
+    # every buffer starts as NaN, so a product that skips a row shows
+    g, _, prev, dlogits, seed = case
+    params = init_params(config, np.random.default_rng(seed))
+    params.weights = {k: v + 0.1 if v.ndim == 1 else v for k, v in params.weights.items()}  # nonzero biases
+    compute = params.for_compute()
+    feats = GraphFeatures(g, config)
+    for mean, a in ((feats.in_mean, feats.a_in), (feats.out_mean, feats.a_out),
+                    (feats.in_mean_t, feats.a_in.T), (feats.out_mean_t, feats.a_out.T)):
+        assert not a[~covered(mean)].any()  # every nonzero lies inside a block
+
+    ws = Workspace(config, g.num_nodes)
+    for buf in (*ws.z, *ws.h, ws.t1, ws.da, ws.dh, ws.dz, ws.dw):
+        buf.fill(np.nan)
+    x = feats.features(prev)
+    logits, cache = forward_policy(compute, feats, x, need_cache=True, ws=ws)
+    grads = backward_policy(compute, feats, cache, dlogits, {k: np.zeros(v.shape) for k, v in params.weights.items()})
+    ref_logits, ref_cache = reference_forward(compute, feats, x)
+    ref_grads = {k: np.zeros(v.shape) for k, v in params.weights.items()}
+    reference_backward(compute, feats, ref_cache, dlogits, ref_grads)
+
+    tol = 1e3 * np.finfo(config.compute_dtype).eps  # relative to each array's largest entry
+    assert logits.dtype == np.dtype(config.compute_dtype)
+    assert np.abs(logits - ref_logits).max() <= tol * np.abs(ref_logits).max()
+    assert grads.keys() == ref_grads.keys()
+    for k, ref in ref_grads.items():
+        assert np.abs(grads[k] - ref).max() <= tol * np.abs(ref).max(), k
+
+
+# the tiny profile is cheap, so it takes most examples
+@pytest.mark.parametrize("compute_dtype", COMPUTE_DTYPES)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=policy_cases())
+def test_tiny_passes_match_dense_reference(compute_dtype, case):
+    check_passes_against_reference(ModelConfig.tiny(case[1], compute_dtype=compute_dtype), case)
+
+
+@pytest.mark.parametrize("compute_dtype", COMPUTE_DTYPES)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(case=policy_cases())
+def test_default_passes_match_dense_reference(compute_dtype, case):
+    check_passes_against_reference(ModelConfig(case[1], compute_dtype=compute_dtype), case)
+
+
+def test_blocks_engage_on_long_layered_graphs_only():
+    cfg = ModelConfig(num_chips=2)
+    long = GraphFeatures(generate_synthetic(GeneratorConfig("layered", 200, seed=1)), cfg)
+    short = GraphFeatures(generate_synthetic(GeneratorConfig("layered", 24, seed=1)), cfg)
+    for mean in (long.in_mean, long.out_mean, long.in_mean_t, long.out_mean_t):
+        assert mean.blocks is not None
+        assert covered(mean).mean() < 0.2
+    for mean in (short.in_mean, short.out_mean, short.in_mean_t, short.out_mean_t):
+        assert mean.blocks is None
+
+
+def test_stale_forward_cache_raises():
+    # the cache is a view of the workspace, so a second forward on it makes
+    # the first cache stale; backward refuses it instead of reading the
+    # second pass's activations
+    g = generate_synthetic(GeneratorConfig("layered", 40, seed=1))
+    params = tiny_params(num_chips=2)
+    feats = GraphFeatures(g, params.config)
+    ws = Workspace(params.config, g.num_nodes)
+    grads = {k: np.zeros(v.shape) for k, v in params.weights.items()}
+    dlogits = np.ones((g.num_nodes, 2))
+    first_logits, first = forward_policy(params, feats, feats.features(None), need_cache=True, ws=ws)
+    kept = first_logits.copy()
+    second_logits, second = forward_policy(params, feats, feats.features(np.ones(g.num_nodes, dtype=np.int64)),
+                                           need_cache=True, ws=ws)
+    assert np.array_equal(first_logits, kept)  # logits are new arrays, not workspace views
+    assert not np.array_equal(first_logits, second_logits)
+    with pytest.raises(ValueError, match="stale"):
+        backward_policy(params, feats, first, dlogits, grads)
+    assert not any(v.any() for v in grads.values())
+    backward_policy(params, feats, second, dlogits, grads)
+    assert any(v.any() for v in grads.values())
+
+
+def test_workspace_must_fit_the_pass():
+    g = generate_synthetic(GeneratorConfig("layered", 10, seed=1))
+    params = tiny_params(num_chips=2)
+    feats = GraphFeatures(g, params.config)
+    with pytest.raises(DimensionMismatchError):
+        forward_policy(params, feats, feats.features(None), ws=Workspace(params.config, 11))
+    with pytest.raises(DimensionMismatchError):
+        forward_policy(params, feats, feats.features(None), ws=Workspace(ModelConfig(num_chips=2), 10))

@@ -6,10 +6,11 @@ from mcmpart import ChipTopology, GeneratorConfig, analytical_eval, enumerate_va
 from mcmpart.evaluator import make_analytical
 from mcmpart.pipeline import Corpus, pretrain, zero_shot
 from mcmpart.policy import (
+    COMPUTE_DTYPES,
     GraphFeatures,
     ModelConfig,
     PolicyParams,
-    backward_policy,
+    Workspace,
     forward_policy,
     init_params,
     log_softmax,
@@ -27,7 +28,7 @@ from mcmpart.training import (
     train_from_scratch,
 )
 
-from conftest import make_graph
+from conftest import reference_backward, reference_forward, relabeled
 
 
 def small_setup(seed=0, num_chips=2, n=5, compute_dtype="float32"):
@@ -138,8 +139,8 @@ def test_ppo_config_rejects_non_finite_rates(field, value):
 
 
 def reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats):
-    """The loss written out per rollout and per step: one forward and one
-    backward for every (rollout, step)."""
+    """The loss written out per rollout and per step: one dense reference
+    forward and backward for every (rollout, step)."""
     grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
     inv_m = 1.0 / n_elems
@@ -150,7 +151,7 @@ def reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats):
         t_steps, n = ro.actions.shape
         prev = None
         for t in range(t_steps):
-            logits, cache = forward_policy(params, feats, feats.features(prev), need_cache=True)
+            logits, cache = reference_forward(params, feats, feats.features(prev))
             lp = log_softmax(logits)
             p = np.exp(lp)
             y = ro.actions[t]
@@ -167,7 +168,7 @@ def reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats):
             dlogits = grad_lp[:, None] * (-p)
             dlogits[rows, y] += grad_lp
             dlogits += inv_m * cfg.entropy_bonus * p * (lp + ent[:, None])
-            backward_policy(params, feats, cache, dlogits, grads)
+            reference_backward(params, feats, cache, dlogits, grads)
             prev = y
     return loss, grads
 
@@ -191,6 +192,114 @@ def test_shared_first_step_loss_matches_per_rollout_reference(t_steps):
     for k in grads:
         assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12, k
     assert any(np.abs(v).max() > 1e-6 for v in grads.values())
+
+
+@pytest.mark.parametrize("compute_dtype", COMPUTE_DTYPES)
+def test_ppo_passes_in_one_workspace_match_reference_pass_by_pass(monkeypatch, compute_dtype):
+    # every pass of the loss runs in the caller's workspace and reads its
+    # cache before the next forward overwrites it: each forward's logits and
+    # each backward's gradient increment equal the dense reference pass on
+    # the same input.  Local shuffles give the blocks ragged envelopes.
+    perm = np.concatenate([lo + np.random.default_rng(lo).permutation(10) for lo in range(0, 90, 10)])
+    g = relabeled(generate_synthetic(GeneratorConfig("layered", 90, seed=4)), perm)
+    topo = ChipTopology(num_chips=3)
+    model = ModelConfig(num_chips=3, num_layers=3, hidden_dim=16, compute_dtype=compute_dtype)
+    params = init_params(model, np.random.default_rng(0))
+    feats = GraphFeatures(g, model)
+    assert feats.in_mean.blocks is not None and feats.out_mean_t.blocks is not None
+    cfg = PpoConfig(refinement_steps=3, clip_epsilon=0.05)
+    ros = collect_rollouts(g, topo, params, feats, cfg, seed=2, count=4)
+    adv = np.linspace(-0.5, 0.5, len(ros))
+    rng = np.random.default_rng(1)
+    for k in params.weights:  # move off the rollout's weights so ratios leave the clip band
+        params.weights[k] = params.weights[k] + 0.05 * rng.standard_normal(params.weights[k].shape)
+
+    ws = Workspace(model, g.num_nodes)
+    tol = 1e3 * np.finfo(compute_dtype).eps
+    real_forward, real_backward = mcmpart.training.forward_policy, mcmpart.training.backward_policy
+    ref_caches = []
+
+    def close(a, b):  # relative to the largest entry of the reference
+        return np.abs(a - b).max() <= tol * np.abs(b).max()
+
+    def forward(params, feats, x, need_cache=False, ws=None):
+        logits, cache = real_forward(params, feats, x, need_cache, ws)
+        ref_logits, ref_cache = reference_forward(params, feats, x)
+        assert close(logits, ref_logits)
+        ref_caches.append(ref_cache)
+        return logits, cache
+
+    def backward(params, feats, cache, dlogits, grads):
+        assert cache.workspace is ws
+        before = {k: v.copy() for k, v in grads.items()}
+        real_backward(params, feats, cache, dlogits, grads)
+        ref = {k: np.zeros_like(v) for k, v in grads.items()}
+        reference_backward(params, feats, ref_caches[-1], dlogits, ref)
+        for k in grads:
+            assert close(grads[k] - before[k], ref[k]), k
+        return grads
+
+    monkeypatch.setattr(mcmpart.training, "forward_policy", forward)
+    monkeypatch.setattr(mcmpart.training, "backward_policy", backward)
+    held = {k: np.full_like(v, 7.0) for k, v in params.weights.items()}  # what a last minibatch left
+    loss, grads, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats, ws=ws, grads=held)
+    assert grads is held and len(ref_caches) == 1 + len(ros) * (cfg.refinement_steps - 1)
+    ref_loss, ref_grads = reference_ppo_loss_and_grads(params, ros, adv, cfg, feats)
+    assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+    for k in ref_grads:
+        assert close(grads[k], ref_grads[k]), k
+
+
+def test_rollouts_store_copies_not_workspace_views(monkeypatch):
+    # the rollouts' passes share one workspace; what they store must not
+    # move when later passes run in it
+    made = []
+
+    class Recording(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(mcmpart.training, "Workspace", Recording)
+    g, topo, params, feats = small_setup(n=40)
+    cfg = PpoConfig(refinement_steps=3)
+    ros = collect_rollouts(g, topo, params, feats, cfg, seed=3, count=5)
+    (ws,) = made
+    buffers = (*ws.z, *ws.h, ws.t1, ws.da, ws.dh, ws.dz, ws.dw)
+    kept = [(ro.actions.copy(), ro.old_logp.copy()) for ro in ros]
+    for ro in ros:
+        assert not any(np.shares_memory(ro.old_logp, b) or np.shares_memory(ro.actions, b) for b in buffers)
+    lp, _ = step_logp(params.for_compute(), feats, ros[0].actions[0], ws=ws)
+    lp_kept = lp.copy()
+    for ro in ros:  # more passes in the same workspace, as the replay makes
+        step_logp(params.for_compute(), feats, ro.actions[-1], need_cache=True, ws=ws)
+    assert np.array_equal(lp, lp_kept)
+    for ro, (actions, old_logp) in zip(ros, kept):
+        assert np.array_equal(ro.actions, actions) and np.array_equal(ro.old_logp, old_logp)
+
+
+def test_ppo_update_makes_one_workspace_and_one_gradient_set(monkeypatch):
+    made, grad_sets = [], set()
+
+    class Recording(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    real_adam = mcmpart.training.adam_step
+
+    def adam(params, grads, lr):
+        grad_sets.add(id(grads))
+        real_adam(params, grads, lr)
+
+    monkeypatch.setattr(mcmpart.training, "Workspace", Recording)
+    monkeypatch.setattr(mcmpart.training, "adam_step", adam)
+    g, topo, params, feats = small_setup(n=12)
+    cfg = PpoConfig(num_rollouts=6, num_minibatches=3, num_epochs=2)
+    batch = collect_rollouts(g, topo, params, feats, cfg, seed=1, count=6)
+    made.clear()
+    stats = ppo_update(params, batch, cfg, feats, 0.5, np.random.default_rng(0))
+    assert stats["updates"] == 6 and len(made) == 1 and len(grad_sets) == 1
 
 
 @pytest.mark.parametrize("solver_mode", ["fix", "sample"])
@@ -258,7 +367,7 @@ def test_train_round_weights_match_per_rollout_reference(monkeypatch, solver_mod
 
     params, trace = run()
 
-    def reference(params, rollouts, advantages, cfg, feats):
+    def reference(params, rollouts, advantages, cfg, feats, **_):
         loss, grads = reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats)
         return loss, grads, {}
 
