@@ -34,12 +34,19 @@ sized from the graph and the config, so a training batch does not
 allocate (and page-fault in) fresh arrays for every pass.  The forward
 cache refers into the workspace: it is valid until the next forward on
 the same workspace, and :func:`backward_policy` raises on a stale one.
+
+Only this module knows the parameter layout: the weights, each Adam moment
+and each gradient set are one flat vector apiece, named by
+:class:`NamedViews`.  A cast, a copy or an Adam step is one operation on a
+vector; the checkpoint keeps one ``<f8`` array per name.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -95,21 +102,60 @@ class ModelConfig:
         return cls(num_chips=num_chips, **kw)
 
 
-class PolicyParams:
-    """Named float64 master weights plus optimizer state; bit-exact round-trippable."""
+class NamedViews(Mapping):
+    """Named arrays that are views of one flat vector, ``flat``, laid out by
+    ``layout``: ``(name, start, stop, shape)`` per array.  Rebinding a name
+    raises, but ``views[name] += x`` writes into the view and passes, so
+    every write reaches ``flat``."""
 
-    def __init__(self, config: ModelConfig, weights: dict):
+    def __init__(self, layout: tuple, flat: np.ndarray):
+        self.layout, self.flat = layout, flat
+        self._views = {name: flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
+
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> "NamedViews":
+        """Float64 zeros for the weights of :func:`weight_shapes`, in its order."""
+        layout, size = [], 0
+        for name, shape in weight_shapes(config).items():
+            layout.append((name, size, size + math.prod(shape), shape))
+            size += math.prod(shape)
+        return cls(tuple(layout), np.zeros(size))
+
+    def copy(self) -> "NamedViews":
+        return NamedViews(self.layout, self.flat.copy())
+
+    def zeros_like(self) -> "NamedViews":
+        """Zeros with the same names and dtype: for the master weights, a gradient set or an Adam moment."""
+        return NamedViews(self.layout, np.zeros_like(self.flat))
+
+    def __getitem__(self, name):
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self):
+        return len(self._views)
+
+    def __setitem__(self, name, value):
+        if value is not self._views[name]:
+            raise TypeError(f"{name} is a view of a flat vector: write into it instead")
+
+
+class PolicyParams:
+    """Float64 master weights plus Adam state, each a read-only
+    :class:`NamedViews` over one flat vector; bit-exact round-trippable.
+    The moments are empty before Adam's first step."""
+
+    def __init__(self, config: ModelConfig, weights: NamedViews | None = None):
         self.config = config
-        self.weights = weights
-        self.opt_m: dict = {}
-        self.opt_v: dict = {}
-        self.opt_t: int = 0
+        self.weights = NamedViews.zeros(config) if weights is None else weights
+        self.opt_m = self.opt_v = NamedViews((), np.zeros(0))
+        self.opt_t = 0
 
     def copy(self) -> "PolicyParams":
-        out = PolicyParams(self.config, {k: v.copy() for k, v in self.weights.items()})
-        out.opt_m = {k: v.copy() for k, v in self.opt_m.items()}
-        out.opt_v = {k: v.copy() for k, v in self.opt_v.items()}
-        out.opt_t = self.opt_t
+        out = PolicyParams(self.config, self.weights.copy())
+        out.opt_m, out.opt_v, out.opt_t = self.opt_m.copy(), self.opt_v.copy(), self.opt_t
         return out
 
     def for_compute(self) -> "PolicyParams":
@@ -119,9 +165,9 @@ class PolicyParams:
         hands the result to every pass under the same weights.
         """
         dtype = np.dtype(self.config.compute_dtype)
-        if all(v.dtype == dtype for v in self.weights.values()):
+        if self.weights.flat.dtype == dtype:
             return self
-        return PolicyParams(self.config, {k: v.astype(dtype) for k, v in self.weights.items()})
+        return PolicyParams(self.config, NamedViews(self.weights.layout, self.weights.flat.astype(dtype)))
 
 
 def weight_shapes(config: ModelConfig) -> dict:
@@ -143,14 +189,12 @@ def weight_shapes(config: ModelConfig) -> dict:
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> PolicyParams:
     """Glorot-uniform weights, zero biases."""
-    weights = {}
-    for name, shape in weight_shapes(config).items():
-        if len(shape) == 2:
-            lim = np.sqrt(6.0 / (shape[0] + shape[1]))
-            weights[name] = rng.uniform(-lim, lim, size=shape)
-        else:
-            weights[name] = np.zeros(shape)
-    return PolicyParams(config, weights)
+    params = PolicyParams(config)
+    for w in params.weights.values():
+        if w.ndim == 2:
+            lim = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            w[...] = rng.uniform(-lim, lim, size=w.shape)
+    return params
 
 
 def _envelope(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
@@ -426,10 +470,8 @@ def save_checkpoint(path, params: PolicyParams, meta: dict | None = None) -> Non
     arrays = []
     payload = bytearray()
     named = dict(params.weights)
-    for k in sorted(params.opt_m):
-        named[f"adam_m.{k}"] = params.opt_m[k]
-    for k in sorted(params.opt_v):
-        named[f"adam_v.{k}"] = params.opt_v[k]
+    named.update((f"adam_m.{k}", v) for k, v in params.opt_m.items())
+    named.update((f"adam_v.{k}", v) for k, v in params.opt_v.items())
     for name in sorted(named):
         arr = np.ascontiguousarray(named[name], dtype="<f8")
         arrays.append({"name": name, "shape": list(arr.shape)})
@@ -457,7 +499,8 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     Any file that does not decode as one raises :class:`CheckpointFormatError`,
     and so does one whose weights are not exactly those of
     :func:`weight_shapes` for its config, whose Adam moments are not one per
-    weight of the same shape, or that holds a NaN or infinity.
+    weight of the same shape exactly when ``adam_t`` is at least 1, or that
+    holds a NaN or infinity.  The arrays are checked before they are copied.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -484,29 +527,39 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
             count = int(np.prod(shape)) if shape else 1
             if pos + count * 8 > len(data):
                 raise CheckpointFormatError("truncated checkpoint payload")
-            arrays[entry["name"]] = np.frombuffer(data, "<f8", count, pos).astype(np.float64).reshape(shape)
+            arrays[entry["name"]] = np.frombuffer(data, "<f8", count, pos).reshape(shape)
             pos += count * 8
-        opt_t = int(header.get("adam_t", 0))
+        opt_t = header.get("adam_t", 0)
     except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointFormatError(f"corrupt checkpoint {path}: {exc}") from exc
+    _check_arrays(path, config, arrays, opt_t)
+
+    params = PolicyParams(config)
+    params.opt_t = opt_t
+    if opt_t:
+        params.opt_m, params.opt_v = params.weights.zeros_like(), params.weights.zeros_like()
+    for prefix, table in (("", params.weights), ("adam_m.", params.opt_m), ("adam_v.", params.opt_v)):
+        for name, view in table.items():
+            view[...] = arrays[prefix + name]
+    return params, header.get("meta", {})
+
+
+def _check_arrays(path, config: ModelConfig, arrays: dict, opt_t) -> None:
+    """Raise CheckpointFormatError unless ``opt_t`` is an integer of at least 0
+    and a file's ``arrays`` fit the config, with moments exactly when it is not 0."""
+    if isinstance(opt_t, bool) or not isinstance(opt_t, int) or opt_t < 0:
+        raise CheckpointFormatError(f"{path}: adam_t must be an integer of at least 0, not {opt_t!r}")
 
     def section(prefix):
         return {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
 
-    params = PolicyParams(config, {k: v for k, v in arrays.items() if not k.startswith(("adam_m.", "adam_v."))})
-    params.opt_m = section("adam_m.")
-    params.opt_v = section("adam_v.")
-    params.opt_t = opt_t
-    _check_arrays(path, params)
-    return params, header.get("meta", {})
-
-
-def _check_arrays(path, params: PolicyParams) -> None:
-    """Raise CheckpointFormatError unless the arrays fit the config and are finite."""
-    want = weight_shapes(params.config)
-    tables = {"weights": params.weights}
-    if params.opt_m or params.opt_v:  # Adam makes both on its first step
-        tables.update(adam_m=params.opt_m, adam_v=params.opt_v)
+    want = weight_shapes(config)
+    tables = {"weights": {k: v for k, v in arrays.items() if not k.startswith(("adam_m.", "adam_v."))}}
+    moments = {"adam_m": section("adam_m."), "adam_v": section("adam_v.")}
+    if opt_t:  # Adam makes both on its first step
+        tables.update(moments)
+    elif any(moments.values()):
+        raise CheckpointFormatError(f"{path}: Adam moments with adam_t 0")
     for what, table in tables.items():
         problems = [f"missing {k}" for k in want if k not in table]
         problems += [f"unexpected {k}" for k in sorted(table) if k not in want]

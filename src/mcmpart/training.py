@@ -21,6 +21,7 @@ from .graph import ChipTopology, ComputationGraph
 from .policy import (
     GraphFeatures,
     ModelConfig,
+    NamedViews,
     PolicyParams,
     Workspace,
     backward_policy,
@@ -31,6 +32,8 @@ from .policy import (
 )
 from .search import SearchBudget, SearchTrace, _baseline_throughput
 from .solver import Partition, solve_fix, solve_sample
+
+ADAM_CHUNK = 32768  # elements per pass of adam_step; its two scratch arrays are this long
 
 
 @dataclass
@@ -200,15 +203,15 @@ def ppo_loss_and_grads(
     cfg: PpoConfig,
     feats: GraphFeatures,
     ws: Optional[Workspace] = None,
-    grads: Optional[dict] = None,
+    grads: Optional[NamedViews] = None,
 ):
     """Clipped-surrogate loss plus entropy bonus.
 
     Returns (loss, grads, stats): stats holds the surrogate and entropy
-    terms of the loss, and grads cover every weight array, in float64.
-    ``grads``, when given, is zeroed and filled in place; each pass runs in
-    ``ws`` and its backward reads the cache before the next forward.  Both
-    are made fresh when not given.  The
+    terms of the loss, and grads is a float64 gradient set named like the
+    weights.  ``grads``, when given, is zeroed and filled in place; each
+    pass runs in ``ws`` and its backward reads the cache before the next
+    forward.  Both are made fresh when not given.  The
     replay conditions on the stored actions through :func:`step_logp`, so
     it recomputes what the rollouts sampled from.  Each forward pass serves
     every rollout that shares its input: step 0 runs once for the whole
@@ -217,10 +220,9 @@ def ppo_loss_and_grads(
     cast to the compute dtype once for the minibatch.
     """
     if grads is None:
-        grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
+        grads = params.weights.zeros_like()
     else:
-        for v in grads.values():
-            v.fill(0.0)
+        grads.flat.fill(0.0)
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
     if n_elems == 0:
         return 0.0, grads, {"surrogate": 0.0, "entropy": 0.0}
@@ -248,23 +250,31 @@ def ppo_loss_and_grads(
     return loss_sur + loss_ent, grads, {"surrogate": loss_sur, "entropy": loss_ent}
 
 
-def adam_step(params: PolicyParams, grads: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: PolicyParams, grads: NamedViews, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8):
+    """One in-place Adam step over the flat vectors, ``ADAM_CHUNK`` elements
+    at a time.  Elementwise and in this order, with ``c1 = 1 - beta1**t``
+    and ``c2 = 1 - beta2**t``: ``m = beta1*m + (1-beta1)*g``,
+    ``v = beta2*v + ((1-beta2)*g)*g``, ``w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
+    """
     if not params.opt_m:
-        params.opt_m = {k: np.zeros_like(v) for k, v in params.weights.items()}
-        params.opt_v = {k: np.zeros_like(v) for k, v in params.weights.items()}
+        params.opt_m, params.opt_v = params.weights.zeros_like(), params.weights.zeros_like()
     params.opt_t += 1
-    t = params.opt_t
-    for k in sorted(params.weights):
-        gr = grads[k]
-        m = params.opt_m[k]
-        v = params.opt_v[k]
-        m *= beta1
-        m += (1 - beta1) * gr
-        v *= beta2
-        v += (1 - beta2) * gr * gr
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        params.weights[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    c1, c2 = 1 - beta1**params.opt_t, 1 - beta2**params.opt_t
+    w, m, v, g = params.weights.flat, params.opt_m.flat, params.opt_v.flat, grads.flat
+    scratch = np.empty((2, min(ADAM_CHUNK, w.size)))
+    for start in range(0, w.size, ADAM_CHUNK):
+        part = slice(start, start + ADAM_CHUNK)
+        wc, mc, vc, gc = w[part], m[part], v[part], g[part]
+        a, b = scratch[:, : gc.size]
+        mc *= beta1
+        mc += np.multiply(gc, 1 - beta1, out=a)
+        vc *= beta2
+        vc += np.multiply(np.multiply(gc, 1 - beta2, out=a), gc, out=a)
+        np.sqrt(np.divide(vc, c2, out=a), out=a)
+        a += eps
+        np.multiply(np.divide(mc, c1, out=b), lr, out=b)
+        wc -= np.divide(b, a, out=b)
 
 
 def ppo_update(
@@ -288,7 +298,7 @@ def ppo_update(
     stats = {"loss": 0.0, "aborted": False, "mean_reward": float(rewards.mean()) if len(rewards) else 0.0}
     updates = 0
     ws = Workspace(params.config, feats.num_nodes)
-    grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    grads = params.weights.zeros_like()
     for _ in range(cfg.num_epochs):
         perm = rng.permutation(len(rollouts))
         for chunk in np.array_split(perm, cfg.num_minibatches):

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from mcmpart import ChipTopology, ComputationGraph, DataEdge, OpNode
+from mcmpart.training import adam_step
 
 
 def make_graph(num_nodes, edges, costs=None, out_bytes=None, param_bytes=None, ops=None):
@@ -76,26 +78,69 @@ def reference_backward(params, feats, cache, dlogits, grads):
     return grads
 
 
-def _edit_config(path, edit):
-    """Rewrite a checkpoint's header after ``edit`` changed its config, laid
-    out as a writer whose config was the edited one would have written it."""
+def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as the policy had it before its weights were one flat vector:
+    fresh temporaries per weight array, in sorted name order."""
+    if not params.opt_m:
+        params.opt_m = {k: np.zeros_like(v) for k, v in params.weights.items()}
+        params.opt_v = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    params.opt_t += 1
+    t = params.opt_t
+    for k in sorted(params.weights):
+        gr = grads[k]
+        m = params.opt_m[k]
+        v = params.opt_v[k]
+        m *= beta1
+        m += (1 - beta1) * gr
+        v *= beta2
+        v += (1 - beta2) * gr * gr
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        params.weights[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def trained_like(params, steps=2):
+    """``params`` after ``steps`` Adam steps on standard-normal gradients, so
+    it carries moments and an ``opt_t`` as training leaves them."""
+    rng = np.random.default_rng(0)
+    grads = params.weights.zeros_like()
+    for _ in range(steps):
+        grads.flat[:] = rng.standard_normal(grads.flat.size)
+        adam_step(params, grads, lr=1e-3)
+    return params
+
+
+def edit_checkpoint(path, edit):
+    """Rewrite a checkpoint file after ``edit(header, arrays)`` changed its
+    JSON header or its arrays: a dict from each name of the file's array
+    table (``adam_m.`` and ``adam_v.`` prefix the moments) to a writable
+    float64 copy.  The header's array table and the payload are rebuilt from
+    ``arrays`` in its order, so an edit that changes nothing gives the same
+    bytes."""
     data = path.read_bytes()
     hlen = int.from_bytes(data[8:16], "little")
     header = json.loads(data[16:16 + hlen])
-    edit(header["config"])
+    arrays, pos = {}, 16 + hlen
+    for entry in header["arrays"]:
+        count = math.prod(entry["shape"])
+        arrays[entry["name"]] = np.frombuffer(data, "<f8", count, pos).reshape(entry["shape"]).copy()
+        pos += 8 * count
+    edit(header, arrays)
+    header["arrays"] = [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + hlen:])
+    payload = b"".join(np.ascontiguousarray(v, "<f8").tobytes() for v in arrays.values())
+    path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + payload)
 
 
 def with_config_entry(path, key, value):
     """Rewrite a checkpoint's header with one more config entry."""
-    _edit_config(path, lambda cfg: cfg.update({key: value}))
+    edit_checkpoint(path, lambda header, arrays: header["config"].update({key: value}))
 
 
 def without_config_entry(path, key):
     """Rewrite a checkpoint's header without one config entry, as a writer
     whose config lacked it would have written it."""
-    _edit_config(path, lambda cfg: cfg.pop(key))
+    edit_checkpoint(path, lambda header, arrays: header["config"].pop(key))
 
 
 @pytest.fixture

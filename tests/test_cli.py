@@ -8,7 +8,7 @@ from mcmpart.cli import main
 from mcmpart.policy import CHECKPOINT_MAGIC, ModelConfig, init_params, save_checkpoint
 from mcmpart.solver import Partition
 
-from conftest import with_config_entry
+from conftest import edit_checkpoint, trained_like, with_config_entry
 
 
 def run(argv):
@@ -105,43 +105,58 @@ def test_layerless_checkpoint_is_a_format_error(tmp_path, capsys):
     # product with a multi-line traceback
     g = tmp_path / "g.json"
     run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", g])
-    params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
-    params.weights = {k: v for k, v in params.weights.items() if k.startswith("head_")}
     ckpt = tmp_path / "layerless.ckpt"
-    save_checkpoint(ckpt, params)
-    with_config_entry(ckpt, "num_layers", 0)
+    save_checkpoint(ckpt, init_params(ModelConfig.tiny(2), np.random.default_rng(0)))
+
+    def layerless(header, arrays):
+        header["config"]["num_layers"] = 0
+        for name in [k for k in arrays if not k.startswith("head_")]:
+            del arrays[name]
+
+    edit_checkpoint(ckpt, layerless)
     out = tmp_path / "zs.csv"
     assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 1, "--out", out]) == 1
     _one_line_error(capsys, "checkpoint-format")
     assert not out.exists()
 
 
-def _break_head_W2(w):
-    del w["head_W2"]
+def _break_head_W2(header, arrays):
+    del arrays["head_W2"]
 
 
-def _cut_head_W1(w):
-    w["head_W1"] = w["head_W1"][:, :-1]
+def _cut_head_W1(header, arrays):
+    arrays["head_W1"] = arrays["head_W1"][:, :-1]
 
 
-def _nan_head_b2(w):
-    w["head_b2"][0] = np.nan
+def _nan_head_b2(header, arrays):
+    arrays["head_b2"][0] = np.nan
 
 
-@pytest.mark.parametrize("damage", [_break_head_W2, _cut_head_W1, _nan_head_b2], ids=["no-head_W2", "short-head_W1", "nan-head_b2"])
+def _adam_t(value):
+    return lambda header, arrays: header.update(adam_t=value)
+
+
+def _drop_moments(header, arrays):
+    for name in [k for k in arrays if k.startswith("adam_")]:
+        del arrays[name]
+
+
+@pytest.mark.parametrize("damage", [
+    _break_head_W2, _cut_head_W1, _nan_head_b2,
+    # adam_t -1 used to load: finetune divided by a zero bias correction and
+    # wrote a checkpoint of NaN weights
+    _adam_t(-1), _adam_t(2.7), _adam_t("5"), _adam_t(True), _adam_t(0), _drop_moments,
+], ids=["no-head_W2", "short-head_W1", "nan-head_b2", "adam_t-negative", "adam_t-float", "adam_t-string",
+        "adam_t-bool", "moments-at-adam_t-0", "adam_t-without-moments"])
 def test_checkpoint_that_does_not_fit_its_config_is_a_format_error(tmp_path, capsys, damage):
     # a checkpoint as training leaves it, Adam moments included, with one
-    # weight damaged: neither command may run on it, and finetune writes
-    # no checkpoint
+    # weight or its optimizer state damaged: neither command may run on it,
+    # and finetune writes no checkpoint
     g = tmp_path / "g.json"
     run(["gen", "--family", "chain", "--nodes", 4, "--seed", 1, "--out", g])
-    params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
-    params.opt_m = {k: np.zeros_like(v) for k, v in params.weights.items()}
-    params.opt_v = {k: np.ones_like(v) for k, v in params.weights.items()}
-    params.opt_t = 2
-    damage(params.weights)
     ckpt = tmp_path / "bad.ckpt"
-    save_checkpoint(ckpt, params)
+    save_checkpoint(ckpt, trained_like(init_params(ModelConfig.tiny(2), np.random.default_rng(0))))
+    edit_checkpoint(ckpt, damage)
     out = tmp_path / "zs.csv"
     assert run(["zeroshot", "--graph", g, "--checkpoint", ckpt, "--chips", 2, "--samples", 1, "--out", out]) == 1
     _one_line_error(capsys, "checkpoint-format")

@@ -32,18 +32,23 @@ batch of 20 samples and its PPO update (two epochs), at the ``tiny`` and
 ``default`` profiles in float32, hashing the rewards and the final master
 weights.  layered-100/2 is long enough that the neighbor means run in row
 blocks.  They were recorded while every neighbor mean was still one dense
-GEMM into freshly allocated arrays.
+GEMM into freshly allocated arrays.  The ``checkpoint`` digest pins the
+bytes ``save_checkpoint`` writes after the ``tiny`` run, Adam moments and
+``adam_t`` included: the file keeps one ``<f8`` array per name, in sorted
+order.  It was recorded while the weights and moments were still one
+array per name in memory, not views of one flat vector each.
 """
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from mcmpart import ChipTopology, GeneratorConfig, generate_synthetic
 from mcmpart.evaluator import SurrogateConfig, analytical_eval, make_analytical, surrogate_eval
-from mcmpart.policy import ModelConfig
+from mcmpart.policy import ModelConfig, save_checkpoint
 from mcmpart.search import SearchBudget, greedy_heuristic, random_search
 from mcmpart.solver import solve_fix
 from mcmpart.training import PpoConfig, train_from_scratch
@@ -75,6 +80,7 @@ GOLDEN = {
 
 TRAIN_GOLDEN = {
     'train:tiny:layered-100/2': '0bc5f083ef6ab36b5c10df802d6e5acf1c242af56b1cf4be1f7b5b5d4d1e9dd5',
+    'checkpoint:tiny:layered-100/2': '1ff83c369bddaf2215244e7cd0202e7ca61c35f075e67a7190d1c45148baa6c2',
     'train:default:layered-100/2': '9ec71a95c285db558858d5628350861fc44afa024ff520b2f4a82f55d8aafff5',
 }
 
@@ -160,6 +166,11 @@ def train_digests() -> dict:
         for name in sorted(params.weights):
             h.update(params.weights[name].tobytes())
         out[f"train:{profile}:{_name('layered', 100, 2, 0.25)}"] = h.hexdigest()
+        if profile == "tiny":
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "tiny.ckpt"
+                save_checkpoint(path, params)
+                out[f"checkpoint:tiny:{_name('layered', 100, 2, 0.25)}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
 

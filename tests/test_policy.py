@@ -20,15 +20,18 @@ from mcmpart.policy import (
     log_softmax,
     sample_rows,
     save_checkpoint,
+    weight_shapes,
 )
 from mcmpart.search import SearchBudget
 from mcmpart.training import PpoConfig
 
 from conftest import (
+    edit_checkpoint,
     make_graph,
     reference_backward,
     reference_forward,
     relabeled,
+    trained_like,
     with_config_entry,
     without_config_entry,
 )
@@ -146,10 +149,7 @@ def test_sample_rows_follows_distribution():
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    params = tiny_params(num_chips=3, seed=4)
-    params.opt_m = {k: np.full_like(v, 0.25) for k, v in params.weights.items()}
-    params.opt_v = {k: np.full_like(v, 0.5) for k, v in params.weights.items()}
-    params.opt_t = 7
+    params = trained_like(tiny_params(num_chips=3, seed=4), steps=7)
     path = tmp_path / "p.ckpt"
     save_checkpoint(path, params, meta={"note": "x"})
     loaded, meta = load_checkpoint(path)
@@ -159,6 +159,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for k, v in params.weights.items():
         assert np.array_equal(loaded.weights[k], v)
         assert np.array_equal(loaded.opt_m[k], params.opt_m[k])
+        assert np.array_equal(loaded.opt_v[k], params.opt_v[k])
 
     g = generate_synthetic(GeneratorConfig("layered", 8, seed=2))
     before = distribution(g, params)
@@ -251,39 +252,49 @@ def test_checkpoint_with_unknown_compute_dtype_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def _trained_like(params):
-    params.opt_m = {k: np.zeros_like(v) for k, v in params.weights.items()}
-    params.opt_v = {k: np.ones_like(v) for k, v in params.weights.items()}
-    params.opt_t = 3
-    return params
-
-
 @pytest.mark.parametrize("damage", [
-    lambda p: p.weights.pop("sage1_b"),
-    lambda p: p.weights.update(sage2_W=np.zeros((3, 3))),  # a layer the config lacks
-    lambda p: p.weights.update(head_W2=p.weights["head_W2"].T.copy()),
-    lambda p: p.opt_m.pop("head_b1"),
-    lambda p: p.opt_v.update(head_b1=np.ones(5)),
-    lambda p: p.opt_v.clear(),
-    lambda p: p.weights["sage0_W"].__setitem__((0, 0), np.inf),
-    lambda p: p.opt_m["head_b2"].__setitem__(1, np.nan),
+    lambda a: a.pop("sage1_b"),
+    lambda a: a.update(sage2_W=np.zeros((3, 3))),  # a layer the config lacks
+    lambda a: a.update(head_W2=a["head_W2"].T.copy()),
+    lambda a: a.pop("adam_m.head_b1"),
+    lambda a: a.update({"adam_v.head_b1": np.ones(5)}),
+    lambda a: [a.pop(k) for k in list(a) if k.startswith("adam_v.")],
+    lambda a: a["sage0_W"].__setitem__((0, 0), np.inf),
+    lambda a: a["adam_m.head_b2"].__setitem__(1, np.nan),
 ], ids=["missing-weight", "extra-weight", "wrong-shape", "missing-moment", "moment-shape", "half-the-moments",
         "inf-weight", "nan-moment"])
 def test_checkpoint_arrays_must_fit_the_config_and_be_finite(tmp_path, damage):
-    params = _trained_like(tiny_params(num_chips=3, seed=4))
-    damage(params)
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, trained_like(tiny_params(num_chips=3, seed=4), steps=3))
+    edit_checkpoint(path, lambda header, arrays: damage(arrays))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
 
 
 def test_checkpoint_with_and_without_moments_loads(tmp_path):
     path = tmp_path / "p.ckpt"
-    for params in (tiny_params(num_chips=3, seed=4), _trained_like(tiny_params(num_chips=3, seed=4))):
+    for params in (tiny_params(num_chips=3, seed=4), trained_like(tiny_params(num_chips=3, seed=4), steps=3)):
         save_checkpoint(path, params)
         loaded, _ = load_checkpoint(path)
         assert loaded.opt_m.keys() == params.opt_m.keys() and loaded.opt_t == params.opt_t
+
+
+def test_named_views_share_one_flat_vector_and_copies_share_none():
+    params = trained_like(tiny_params(num_chips=3, seed=4))
+    copy = params.copy()
+    for table, copied in ((params.weights, copy.weights), (params.opt_m, copy.opt_m), (params.opt_v, copy.opt_v)):
+        assert list(table) == list(weight_shapes(params.config))
+        assert table.flat.size == sum(v.size for v in table.values())
+        for name, view in table.items():
+            assert np.shares_memory(view, table.flat) and view.base is table.flat
+            assert not np.shares_memory(copied[name], table.flat) and np.array_equal(copied[name], view)
+    view = params.weights["head_b1"]
+    view += 1.0  # an in-place update writes through the view
+    assert params.weights["head_b1"] is view
+    with pytest.raises(TypeError):
+        params.weights["head_b1"] = view + 1.0
+    compute = params.for_compute()
+    assert compute.weights.flat.dtype == np.float32 and compute.weights.layout is params.weights.layout
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
@@ -373,7 +384,9 @@ def check_passes_against_reference(config, case):
     # every buffer starts as NaN, so a product that skips a row shows
     g, _, prev, dlogits, seed = case
     params = init_params(config, np.random.default_rng(seed))
-    params.weights = {k: v + 0.1 if v.ndim == 1 else v for k, v in params.weights.items()}  # nonzero biases
+    for v in params.weights.values():
+        if v.ndim == 1:
+            v += 0.1  # nonzero biases
     compute = params.for_compute()
     feats = GraphFeatures(g, config)
     for mean, a in ((feats.in_mean, feats.a_in), (feats.out_mean, feats.a_out),
@@ -385,9 +398,9 @@ def check_passes_against_reference(config, case):
         buf.fill(np.nan)
     x = feats.features(prev)
     logits, cache = forward_policy(compute, feats, x, need_cache=True, ws=ws)
-    grads = backward_policy(compute, feats, cache, dlogits, {k: np.zeros(v.shape) for k, v in params.weights.items()})
+    grads = backward_policy(compute, feats, cache, dlogits, params.weights.zeros_like())
     ref_logits, ref_cache = reference_forward(compute, feats, x)
-    ref_grads = {k: np.zeros(v.shape) for k, v in params.weights.items()}
+    ref_grads = params.weights.zeros_like()
     reference_backward(compute, feats, ref_cache, dlogits, ref_grads)
 
     tol = 1e3 * np.finfo(config.compute_dtype).eps  # relative to each array's largest entry
@@ -432,7 +445,7 @@ def test_stale_forward_cache_raises():
     params = tiny_params(num_chips=2)
     feats = GraphFeatures(g, params.config)
     ws = Workspace(params.config, g.num_nodes)
-    grads = {k: np.zeros(v.shape) for k, v in params.weights.items()}
+    grads = params.weights.zeros_like()
     dlogits = np.ones((g.num_nodes, 2))
     first_logits, first = forward_policy(params, feats, feats.features(None), need_cache=True, ws=ws)
     kept = first_logits.copy()

@@ -13,7 +13,9 @@ from mcmpart.policy import (
     Workspace,
     forward_policy,
     init_params,
+    load_checkpoint,
     log_softmax,
+    save_checkpoint,
 )
 from mcmpart.search import SearchBudget, _baseline_throughput, greedy_heuristic
 from mcmpart.training import (
@@ -28,7 +30,7 @@ from mcmpart.training import (
     train_from_scratch,
 )
 
-from conftest import reference_backward, reference_forward, relabeled
+from conftest import reference_adam_step, reference_backward, reference_forward, relabeled, trained_like
 
 
 def small_setup(seed=0, num_chips=2, n=5, compute_dtype="float32"):
@@ -141,7 +143,7 @@ def test_ppo_config_rejects_non_finite_rates(field, value):
 def reference_ppo_loss_and_grads(params, rollouts, advantages, cfg, feats):
     """The loss written out per rollout and per step: one dense reference
     forward and backward for every (rollout, step)."""
-    grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    grads = params.weights.zeros_like()
     n_elems = sum(r.actions.shape[0] * r.actions.shape[1] for r in rollouts)
     inv_m = 1.0 / n_elems
     eps = cfg.clip_epsilon
@@ -183,7 +185,7 @@ def test_shared_first_step_loss_matches_per_rollout_reference(t_steps):
     adv = rewards - rewards.mean() + np.linspace(-0.3, 0.3, len(ros))
     rng = np.random.default_rng(2)
     for k in params.weights:  # move off the rollout's weights so ratios leave the clip band
-        params.weights[k] = params.weights[k] + 0.05 * rng.standard_normal(params.weights[k].shape)
+        params.weights[k] += 0.05 * rng.standard_normal(params.weights[k].shape)
 
     loss, grads, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
     ref_loss, ref_grads = reference_ppo_loss_and_grads(params, ros, adv, cfg, feats)
@@ -212,7 +214,7 @@ def test_ppo_passes_in_one_workspace_match_reference_pass_by_pass(monkeypatch, c
     adv = np.linspace(-0.5, 0.5, len(ros))
     rng = np.random.default_rng(1)
     for k in params.weights:  # move off the rollout's weights so ratios leave the clip band
-        params.weights[k] = params.weights[k] + 0.05 * rng.standard_normal(params.weights[k].shape)
+        params.weights[k] += 0.05 * rng.standard_normal(params.weights[k].shape)
 
     ws = Workspace(model, g.num_nodes)
     tol = 1e3 * np.finfo(compute_dtype).eps
@@ -241,7 +243,8 @@ def test_ppo_passes_in_one_workspace_match_reference_pass_by_pass(monkeypatch, c
 
     monkeypatch.setattr(mcmpart.training, "forward_policy", forward)
     monkeypatch.setattr(mcmpart.training, "backward_policy", backward)
-    held = {k: np.full_like(v, 7.0) for k, v in params.weights.items()}  # what a last minibatch left
+    held = params.weights.zeros_like()
+    held.flat.fill(7.0)  # what a last minibatch left
     loss, grads, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats, ws=ws, grads=held)
     assert grads is held and len(ref_caches) == 1 + len(ros) * (cfg.refinement_steps - 1)
     ref_loss, ref_grads = reference_ppo_loss_and_grads(params, ros, adv, cfg, feats)
@@ -451,7 +454,7 @@ def test_gradients_match_finite_differences():
     adv = rewards - rewards.mean()
     rng = np.random.default_rng(0)
     for k in params.weights:
-        params.weights[k] = params.weights[k] + 0.01 * rng.standard_normal(params.weights[k].shape)
+        params.weights[k] += 0.01 * rng.standard_normal(params.weights[k].shape)
 
     _, grads, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
     h = 1e-6
@@ -495,7 +498,7 @@ def test_huge_clip_equals_vanilla_policy_gradient():
     adv = rewards - rewards.mean()
     rng = np.random.default_rng(1)
     for k in params.weights:
-        params.weights[k] = params.weights[k] + 0.02 * rng.standard_normal(params.weights[k].shape)
+        params.weights[k] += 0.02 * rng.standard_normal(params.weights[k].shape)
     loss, _, _ = ppo_loss_and_grads(params, ros, adv, cfg, feats)
 
     # vanilla surrogate: mean over elements of ratio * advantage
@@ -532,12 +535,38 @@ def test_nonfinite_loss_aborts_without_touching_weights():
 
 def test_adam_step_moves_against_gradient():
     params = init_params(ModelConfig.tiny(num_chips=2), np.random.default_rng(0))
-    grads = {k: np.ones_like(v) for k, v in params.weights.items()}
+    grads = params.weights.zeros_like()
+    grads.flat.fill(1.0)
     before = params.weights["head_W1"].copy()
     adam_step(params, grads, lr=0.01)
     after = params.weights["head_W1"]
     assert (after < before).all()
     assert params.opt_t == 1
+
+
+@pytest.mark.parametrize("start", ["fresh", "checkpoint"])
+@pytest.mark.parametrize("profile", ["tiny", "default"])
+def test_adam_step_matches_per_name_reference_bitwise(tmp_path, profile, start):
+    # the default profile's flat vector spans many ADAM_CHUNKs, the tiny one
+    # fits in one; a fresh start makes the moments on the first step, a
+    # loaded checkpoint brings its own
+    model = ModelConfig.tiny(2) if profile == "tiny" else ModelConfig(num_chips=2)
+    params = init_params(model, np.random.default_rng(0))
+    assert (params.weights.flat.size > mcmpart.training.ADAM_CHUNK) == (profile == "default")
+    if start == "checkpoint":
+        save_checkpoint(tmp_path / "p.ckpt", trained_like(params, steps=3))
+        params, _ = load_checkpoint(tmp_path / "p.ckpt")
+    ref = params.copy()
+    rng = np.random.default_rng(1)
+    grads = params.weights.zeros_like()
+    for _ in range(5):
+        grads.flat[:] = rng.standard_normal(grads.flat.size)
+        adam_step(params, grads, lr=1e-3)
+        reference_adam_step(ref, grads, lr=1e-3)
+    assert params.opt_t == ref.opt_t == (8 if start == "checkpoint" else 5)
+    for table in ("weights", "opt_m", "opt_v"):
+        for k, v in getattr(ref, table).items():
+            assert getattr(params, table)[k].tobytes() == v.tobytes(), (table, k)
 
 
 # ---- training loop ---------------------------------------------------------
