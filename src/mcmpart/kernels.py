@@ -157,22 +157,12 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
             break
 
         if grew or not any(ahead):  # any chip edge x -> y puts x in ahead[y]
-            # reach[a]: chips reachable from a by committed chip edges (a
-            # included); longer[a]: those reachable by a path of >= 2 edges.
             # A direct edge shadowed by a longer path is already
             # unrecoverable.
-            reach = [0] * num_chips
-            longer = [0] * num_chips
-            for a in range(num_chips - 1, -1, -1):
-                r = 1 << a
-                ln = 0
-                for c, b in _bits(chips[a]):
-                    r |= reach[c]
-                    ln |= reach[c] ^ b
-                if chips[a] & ln:
-                    return 1
-                reach[a] = r
-                longer[a] = ln
+            paths = chip_paths(chips, num_chips)
+            if paths is None:
+                return 1
+            reach, longer = paths
             anc = [0] * num_chips  # anc[c]: chips that reach c
             for a, r in enumerate(reach):
                 for c, _ in _bits(r):
@@ -234,6 +224,74 @@ def propagate(dom, preds, succs, num_chips, seeds, chip_edges):
         changed = list(seeds)
     chip_edges[:] = chips + ahead + behind + cover + [placed, below]
     return 0
+
+
+def chip_paths(chips, num_chips):
+    """Paths in the chip graph whose direct edges are ``chips`` (bit c of
+    entry a set for an edge a -> c, every edge from a lower to a higher chip).
+
+    Returns ``(reach, longer)``: ``reach[a]`` holds the chips reachable from
+    ``a`` (``a`` included), ``longer[a]`` those reachable by a path of two or
+    more edges.  Returns ``None`` when a direct edge runs beside such a path,
+    the clash that rule 3 forbids.
+    """
+    reach = [0] * num_chips
+    longer = [0] * num_chips
+    for a in range(num_chips - 1, -1, -1):
+        r = 1 << a
+        ln = 0
+        for c, b in _bits(chips[a]):
+            r |= reach[c]
+            ln |= reach[c] ^ b
+        if chips[a] & ln:
+            return None
+        reach[a] = r
+        longer[a] = ln
+    return reach, longer
+
+
+def clash_free(dom, preds, succs, num_chips, u, chip_edges):
+    """The chips of ``dom[u]`` on which ``u``'s chip edges to its committed
+    neighbours, added all at once, close no rule-3 clash.
+
+    ``dom`` and ``chip_edges`` must be at a :func:`propagate` fixpoint, so
+    the committed chip graph is clash-free and every committed predecessor
+    (successor) of ``u`` sits on a chip at most (at least) each chip of
+    ``dom[u]``.  The look-ahead of :func:`propagate` tests one new chip edge
+    at a time; this test sees a clash that only two or more of them form
+    together.  A dropped chip is one whose decision propagation refutes at
+    once.  Neighbours committed to a single chip add at most one chip edge,
+    so ``dom[u]`` comes back whole without a test.
+    """
+    du = dom[u]
+    lo = hi = 0  # chips of the committed predecessors and successors
+    for w in preds[u]:
+        dw = dom[w]
+        if dw & (dw - 1) == 0:
+            lo |= dw
+    for v in succs[u]:
+        dv = dom[v]
+        if dv & (dv - 1) == 0:
+            hi |= dv
+    near = lo | hi
+    if near & (near - 1) == 0:
+        return du
+    chips = chip_edges[:num_chips]
+    keep = 0
+    for x, bit in _bits(du):
+        trial = chips[:]
+        new = 0  # new chip edges; one alone is the look-ahead's to refute
+        for p, _ in _bits(lo & ~bit):
+            if not trial[p] & bit:
+                trial[p] |= bit
+                new += 1
+        out = hi & ~bit & ~trial[x]
+        if out:
+            trial[x] |= out
+            new += out.bit_count()
+        if new < 2 or chip_paths(trial, num_chips) is not None:
+            keep |= bit
+    return keep
 
 
 def check_static_kernel(assign, edge_src, edge_dst, num_chips):

@@ -116,7 +116,17 @@ def random_search(
     evaluator: Evaluator,
     budget: SearchBudget,
 ) -> SearchTrace:
-    """Uniform per-node distribution, fresh random node order per sample."""
+    """Solver-driven random search: ``solve_sample`` under a uniform
+    per-node distribution, fresh random node order per sample.
+
+    Every sample is valid, but the samples are not uniform over the valid
+    partitions.  Their law is whatever fail-first order, propagation, the
+    draw mask and restarts make of uniform per-node draws, and it moves
+    whenever the solver's search does.  On seed-1 graphs of 10 to 12 nodes
+    and 3 chips, its total variation distance to uniform was 0.23 to 0.32,
+    and the most-drawn partition came up 16 to 408 times as often as the
+    least-drawn one.
+    """
     rng = np.random.default_rng(budget.seed)
     P = uniform_distribution(g.num_nodes, topo.num_chips)
     trace = SearchTrace()

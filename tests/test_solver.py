@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -17,8 +18,9 @@ from mcmpart import (
 )
 from mcmpart.errors import InfeasibleError, InvalidConfigError, LimitExceededError, StepBudgetError
 from mcmpart.generate import FAMILIES
-from mcmpart.kernels import mask_to_values, propagate
-from mcmpart.solver import _luby, _sample_from_mask
+from mcmpart import solver as solver_mod
+from mcmpart.kernels import clash_free, mask_to_values, propagate
+from mcmpart.solver import RESTART_FAILURES, _luby, _sample_from_mask
 
 from conftest import make_graph
 
@@ -297,8 +299,9 @@ def test_sample_from_mask_matches_tuple_draw():
 
 
 def _stall_every_decision(monkeypatch):
-    """Make every decision a no-op, so that no attempt can finish; returns
-    the decisions each solver built was asked for, one entry per attempt."""
+    """Make every decision a no-op that reports a backtrack, so that every
+    decision fails and no attempt can finish; returns the decisions each
+    solver built was asked for, one entry per attempt."""
     per_attempt = []
     init = ConstraintSolver.__init__
 
@@ -316,11 +319,37 @@ def _stall_every_decision(monkeypatch):
 
 
 def _luby_caps(unit, total):
-    """Attempt k may spend unit * luby(k) decisions of what is left of ``total``."""
+    """Attempt k may spend unit * luby(k) failed decisions, within what is
+    left of ``total`` decisions; a stalled decision always fails."""
     caps = [min(unit, total)]
     while sum(caps) < total:
         caps.append(min(unit * _luby(len(caps) + 1), total - sum(caps)))
     return caps
+
+
+def _record_failures(monkeypatch):
+    """Record, per attempt, how many of its decisions backtracked."""
+    per_attempt = []
+    init, set_domain = ConstraintSolver.__init__, ConstraintSolver.set_domain
+
+    def counting_init(self, *args):
+        per_attempt.append(0)
+        init(self, *args)
+
+    def counting_set_domain(self, u, chip):
+        before = self.decided_count
+        got = set_domain(self, u, chip)
+        per_attempt[-1] += got <= before
+        return got
+
+    monkeypatch.setattr(ConstraintSolver, "__init__", counting_init)
+    monkeypatch.setattr(ConstraintSolver, "set_domain", counting_set_domain)
+    return per_attempt
+
+
+def _suite_case(family, nodes, chips, skip_prob=0.25):
+    g = generate_synthetic(GeneratorConfig(family, nodes, seed=1, skip_prob=skip_prob))
+    return g, ChipTopology(num_chips=chips)
 
 
 # (solver, target, source tag) on chain4
@@ -328,30 +357,155 @@ SOLVERS = [
     (solve_sample, uniform_distribution(4, 2), "sampled"),
     (solve_fix, np.array([0, 0, 1, 1]), "repaired"),
 ]
-UNIT = 2  # decisions in a unit of the restart schedule: ceil(N/2) on chain4
 
 
 def test_luby_sequence():
     assert [_luby(k) for k in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
-@pytest.mark.parametrize("max_decisions", [0, 3, 15])
+@pytest.mark.parametrize("max_decisions", [0, 3, 15, 40])
 @pytest.mark.parametrize("solve, target, tag", SOLVERS)
 def test_budget_runs_out_in_every_restart(monkeypatch, chain4, topo2, solve, target, tag, max_decisions):
     # the attempts share max_decisions decisions, each up to its Luby cap
+    # of failed decisions
     per_attempt = _stall_every_decision(monkeypatch)
     with pytest.raises(StepBudgetError, match=f"spent all {max_decisions} decisions in .* for a {tag} partition"):
         solve(chain4, topo2, target, np.random.default_rng(0), max_decisions=max_decisions)
-    assert per_attempt == _luby_caps(UNIT, max_decisions)
+    assert per_attempt == _luby_caps(RESTART_FAILURES, max_decisions)
 
 
 @pytest.mark.parametrize("solve, target, tag", SOLVERS)
 def test_default_budget_totals_1024_decisions_per_node(monkeypatch, chain4, topo2, solve, target, tag):
     per_attempt = _stall_every_decision(monkeypatch)
-    attempts = len(_luby_caps(UNIT, 4096))
+    attempts = len(_luby_caps(RESTART_FAILURES, 4096))
     with pytest.raises(StepBudgetError, match=f"spent all 4096 decisions in {attempts} attempts for a {tag} partition"):
         solve(chain4, topo2, target, np.random.default_rng(0))
-    assert per_attempt == _luby_caps(UNIT, 1024 * 4)
+    assert per_attempt == _luby_caps(RESTART_FAILURES, 1024 * 4)
+
+
+@pytest.mark.parametrize("max_decisions", [-1, 2.5, True, np.True_, "3", 4.0])
+@pytest.mark.parametrize("solve, target, tag", SOLVERS)
+def test_bad_max_decisions_rejected(chain4, topo2, solve, target, tag, max_decisions):
+    with pytest.raises(InvalidConfigError, match="max_decisions"):
+        solve(chain4, topo2, target, np.random.default_rng(0), max_decisions=max_decisions)
+
+
+@pytest.mark.parametrize("solve, target, tag", SOLVERS)
+def test_numpy_integer_max_decisions_accepted(chain4, topo2, solve, target, tag):
+    assert check_static(chain4, solve(chain4, topo2, target, np.random.default_rng(0), max_decisions=np.int64(64)), 2).ok
+
+
+def test_attempt_that_never_backtracks_is_not_cut(monkeypatch):
+    # Decisions on rnn-like-30/4 almost never backtrack, so each sample
+    # finishes in its first attempt however many decisions it takes.  A cap
+    # of ceil(N/2) decisions per unit made 2.34 attempts per sample here.
+    g, topo = _suite_case("rnn-like", 30, 4)
+    per_attempt = _record_failures(monkeypatch)
+    for seed in range(50):
+        per_attempt.clear()
+        solve_sample(g, topo, uniform_distribution(30, 4), np.random.default_rng(seed))
+        assert len(per_attempt) == 1 and per_attempt[0] < RESTART_FAILURES, (seed, per_attempt)
+
+
+def test_abandoned_attempts_end_at_their_failure_cap(monkeypatch):
+    # every attempt but the last ends at exactly RESTART_FAILURES * luby(k)
+    # failed decisions; the last one returns a partition or spends what is
+    # left of the budget
+    g, topo = _suite_case("random-dag", 40, 6)
+    P = uniform_distribution(40, 6)
+    per_attempt = _record_failures(monkeypatch)
+    restarts = budget_errors = 0
+    for seed in range(30):
+        per_attempt.clear()
+        try:
+            solve_sample(g, topo, P, np.random.default_rng(seed), max_decisions=None if seed % 3 else 60)
+        except StepBudgetError:
+            budget_errors += 1
+            assert per_attempt[-1] <= RESTART_FAILURES * _luby(len(per_attempt)), seed
+        else:
+            assert per_attempt[-1] < RESTART_FAILURES * _luby(len(per_attempt)), seed
+        assert per_attempt[:-1] == [RESTART_FAILURES * _luby(k) for k in range(1, len(per_attempt))], seed
+        restarts += len(per_attempt) - 1
+    assert restarts >= 20 and budget_errors >= 3, (restarts, budget_errors)
+
+
+def test_clash_free_sees_a_clash_that_two_new_edges_form(topo3):
+    # a on chip 0 feeds b on chip 2 directly and through u; node w can
+    # cover chip 1.  u on chip 1 adds the chip edges 0 -> 1 and 1 -> 2,
+    # neither of which clashes alone, but together they run a path beside
+    # the direct edge 0 -> 2.
+    a, b, u, w = range(4)
+    g = make_graph(4, [(a, b), (a, u), (u, b)])
+    s = ConstraintSolver(g, topo3)
+    s.set_domain(a, 0)
+    s.set_domain(b, 2)
+    assert s.get_domain(u) == (0, 1, 2) and s.get_domain(w) == (0, 1, 2)
+    assert mask_to_values(s.draw_mask(u)) == (0, 2)
+    assert mask_to_values(s.draw_mask(w)) == (0, 1, 2)
+    assert s.set_domain(u, 1) == 2 and s.get_domain(u) == (0, 2)
+
+
+def test_draw_mask_falls_back_to_the_domain(monkeypatch, chain4, topo2):
+    # when every chip would be dropped, the node draws from its whole
+    # domain, so the refutation and backtrack happen as without the test
+    monkeypatch.setattr(solver_mod, "clash_free", lambda *args: 0)
+    s = ConstraintSolver(chain4, topo2)
+    assert [s.draw_mask(u) for u in range(4)] == s._dom
+
+
+def test_clash_free_drops_only_refuted_chips(rng):
+    # Every chip that the joint rule-3 test drops from a node's draw mask
+    # makes set_domain backtrack when it is decided, in every state a run
+    # of random decisions reaches on small graphs.
+    dropped = 0
+    for k in range(40):
+        g = generate_synthetic(GeneratorConfig(FAMILIES[k % 5], int(rng.integers(6, 16)), seed=k, skip_prob=(0.25, 0.9)[k // 5 % 2]))
+        c = int(rng.integers(3, 7))
+        s = ConstraintSolver(g, ChipTopology(num_chips=c))
+        while (live := [u for u in range(g.num_nodes) if len(s.get_domain(u)) > 1]):
+            for u in live:
+                keep = clash_free(s._dom, g.preds, g.succs, c, u, s._chip_edges)
+                assert keep | s._dom[u] == s._dom[u]
+                for chip in mask_to_values(s._dom[u] & ~keep):
+                    trial = copy.deepcopy(s, {id(g): g, id(s.topo): s.topo})
+                    before = trial.decided_count
+                    try:
+                        assert trial.set_domain(u, chip) <= before, (k, u, chip)
+                    except InfeasibleError:
+                        pass
+                    dropped += 1
+            u = live[rng.integers(0, len(live))]
+            chips = s.get_domain(u)
+            try:
+                s.set_domain(u, chips[rng.integers(0, len(chips))])
+            except InfeasibleError:
+                break
+    assert dropped >= 100, dropped
+
+
+# Total decisions of solve_sample over seeds 0-19 (uniform P, seed-1 suite
+# graphs).  Counts, not times, so wasted work shows on any machine: with
+# restarts after ceil(N/2) * luby(k) decisions, rnn-like-30/4 made 691 and
+# random-dag-40/6 2,288; without the draw mask, random-dag-40/6 made 4,922
+# (5,138 without either).
+WORK_GUARD = {("random-dag", 40, 6): 1857, ("rnn-like", 30, 4): 331}
+
+
+@pytest.mark.parametrize("case", sorted(WORK_GUARD))
+def test_sample_decisions_pinned(monkeypatch, case):
+    g, topo = _suite_case(*case)
+    decisions = [0]
+    set_domain = ConstraintSolver.set_domain
+
+    def counting_set_domain(self, u, chip):
+        decisions[0] += 1
+        return set_domain(self, u, chip)
+
+    monkeypatch.setattr(ConstraintSolver, "set_domain", counting_set_domain)
+    P = uniform_distribution(g.num_nodes, topo.num_chips)
+    for seed in range(20):
+        solve_sample(g, topo, P, np.random.default_rng(seed))
+    assert decisions[0] == WORK_GUARD[case]
 
 
 # ---- solve_fix -------------------------------------------------------------
