@@ -15,10 +15,11 @@ import numpy as np
 from .errors import InvalidConfigError
 from .evaluator import Evaluator, SurrogateConfig, analytical_eval, make_surrogate
 from .graph import ChipTopology, ComputationGraph, graph_to_json
+from .pipeline import fine_tune, zero_shot
 from .policy import PolicyParams
 from .search import SaConfig, SearchBudget, SearchTrace, greedy_heuristic, random_search, simulated_annealing
 from .solver import check_static, enumerate_valid, solve_sample, uniform_distribution
-from .training import ModelConfig, PpoConfig, train_from_scratch
+from .training import ModelConfig, PpoConfig, Task, train_from_scratch
 
 STRATEGIES = ("random", "sa", "rl", "zeroshot", "finetune")
 
@@ -46,10 +47,8 @@ def run_strategy(
     if name in ("zeroshot", "finetune"):
         if checkpoint is None:
             raise InvalidConfigError(f"strategy {name!r} needs a checkpoint")
-        from .pipeline import fine_tune, zero_shot
-
         if name == "zeroshot":
-            return zero_shot(checkpoint, g, topo, evaluator, budget.max_samples, seed=budget.seed, cfg=ppo)
+            return zero_shot(checkpoint, Task(g, topo, evaluator), budget.max_samples, seed=budget.seed, cfg=ppo)
         _, trace = fine_tune(checkpoint, g, topo, evaluator, budget, ppo or PpoConfig())
         return trace
     raise InvalidConfigError(f"unknown strategy {name!r}; choose from {STRATEGIES}")

@@ -27,7 +27,7 @@ from .graph import ChipTopology, load_graph_file, graph_to_json
 from .policy import ModelConfig, load_checkpoint, save_checkpoint
 from .search import SaConfig, SearchBudget, greedy_heuristic, random_search, simulated_annealing
 from .solver import Partition, check_static, solve_fix, solve_sample, uniform_distribution
-from .training import PpoConfig, train_from_scratch
+from .training import PpoConfig, Task, train_from_scratch
 from . import bench as bench_mod
 from . import pipeline as pipeline_mod
 
@@ -357,7 +357,7 @@ def cmd_zeroshot(args) -> int:
     evaluator = _evaluator(settings)
     params, _ = load_checkpoint(args.checkpoint)
     ppo, _ = _ppo(settings, topo.num_chips)
-    trace = pipeline_mod.zero_shot(params, g, topo, evaluator, samples=args.samples, seed=args.seed, cfg=ppo)
+    trace = pipeline_mod.zero_shot(params, Task(g, topo, evaluator), samples=args.samples, seed=args.seed, cfg=ppo)
     _write_csv(args.out, "sample,throughput,best,valid", trace.rows(), settings.provenance("zeroshot", args.seed))
     return 0
 

@@ -1,10 +1,10 @@
 """Pretraining workflow: corpus splits, training worker, checkpoint selection.
 
-The training worker iterates the training graphs round-robin (one rollout
-batch per visit) and periodically snapshots weights; a validation worker
-scores each snapshot on the validation graphs, zero-shot and after a small
-fine-tuning budget, and the best snapshot warm-starts deployment on unseen
-graphs.  Workers communicate only through checkpoint files.
+The training worker runs :func:`~mcmpart.training.train_batches` over one
+task per training graph and periodically snapshots weights; a validation
+worker scores each snapshot on the validation graphs, zero-shot and after a
+small fine-tuning budget, and the best snapshot warm-starts deployment on
+unseen graphs.  Workers communicate only through checkpoint files.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 from .errors import GraphFormatError, InvalidConfigError
 from .evaluator import Evaluator
 from .graph import ChipTopology, ComputationGraph, load_graph_file, save_graph
-from .policy import GraphFeatures, ModelConfig, PolicyParams, init_params, load_checkpoint, save_checkpoint
-from .search import SearchBudget, SearchTrace, _baseline_throughput
-# rollout stays a name of this module: the benchmark's traced run wraps mcmpart.pipeline.rollout
-from .training import PpoConfig, ppo_update, rollout, rollouts, train  # noqa: F401
+from .policy import ModelConfig, PolicyParams, init_params, load_checkpoint, save_checkpoint
+from .search import SearchBudget, SearchTrace
+# rollout and ppo_update stay names of this module: the benchmark's traced run wraps both here
+from .training import PpoConfig, Task, ppo_update, rollout, rollouts, train, train_batches  # noqa: F401
 
 
 @dataclass
@@ -120,8 +120,8 @@ def pretrain(
 ) -> list[CheckpointRecord]:
     """Shared-weights training over the train split, snapshotting regularly.
 
-    Graphs are visited round-robin, one rollout batch (and PPO update) per
-    visit; a checkpoint lands every ``checkpoint_every`` consumed samples.
+    Runs :func:`~mcmpart.training.train_batches` over one task per train
+    entry; a checkpoint lands every ``checkpoint_every`` consumed samples.
     """
     if not corpus.train:
         raise InvalidConfigError("pretraining needs a nonempty train split")
@@ -132,30 +132,11 @@ def pretrain(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    model_config = model_config or ModelConfig(num_chips=topo.num_chips)
-    params = init_params(model_config, rng)
-
-    feats = {}
-    baselines = {}
+    params = init_params(model_config or ModelConfig(num_chips=topo.num_chips), rng)
+    tasks = [Task(g, topo, evaluator) for _, g in corpus.train]
     records = []
-    samples = 0
-    saved_marks = 0
-    gi = 0
-    while samples < total_samples:
-        name, g = corpus.train[gi % len(corpus.train)]
-        gi += 1
-        if name not in feats:
-            feats[name] = GraphFeatures(g, model_config)
-            baselines[name] = _baseline_throughput(g, topo, evaluator)
-        batch_size = min(cfg.num_rollouts, total_samples - samples)
-        batch = rollouts(g, topo, params, cfg, rng, evaluator, feats[name], baselines[name], batch_size)
-        samples += batch_size
-        if batch_size == cfg.num_rollouts:
-            rewards = [r.reward for r in batch]
-            ppo_update(params, batch, cfg, feats[name], float(np.mean(rewards)), rng)
-        while (saved_marks + 1) * checkpoint_every <= samples:
-            saved_marks += 1
-            count = saved_marks * checkpoint_every
+    for _, samples in train_batches(tasks, params, cfg, total_samples, rng):
+        for count in range((len(records) + 1) * checkpoint_every, samples + 1, checkpoint_every):
             path = out_dir / f"{count}.ckpt"
             save_checkpoint(path, params, meta={"sample_count": count})
             records.append(CheckpointRecord(sample_count=count, path=str(path)))
@@ -164,14 +145,12 @@ def pretrain(
 
 def zero_shot(
     params: PolicyParams,
-    g: ComputationGraph,
-    topo: ChipTopology,
-    evaluator: Evaluator,
+    task: Task,
     samples: int,
     seed: int = 0,
     cfg: Optional[PpoConfig] = None,
 ) -> SearchTrace:
-    """Inference-only rollouts with frozen parameters; no updates.
+    """Inference-only rollouts on ``task`` with frozen parameters; no updates.
 
     ``cfg`` supplies the refinement steps and the solver mode.  An empty
     trace would score 0 whatever the weights, so ``samples`` must be
@@ -180,11 +159,8 @@ def zero_shot(
     if samples < 1:
         raise InvalidConfigError(f"zero-shot inference needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    cfg = cfg or PpoConfig()
-    feats = GraphFeatures(g, params.config)
-    baseline = _baseline_throughput(g, topo, evaluator)
     trace = SearchTrace()
-    for ro in rollouts(g, topo, params, cfg, rng, evaluator, feats, baseline, samples):
+    for ro in rollouts(task, params, cfg or PpoConfig(), rng, samples):
         trace.record(ro, ro.partition)
     return trace
 
@@ -198,10 +174,10 @@ def fine_tune(
     cfg: PpoConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[PolicyParams, SearchTrace]:
-    """Continue training from a pretrained snapshot on one target graph."""
+    """Continue training a copy of a pretrained snapshot on one target graph."""
     rng = rng if rng is not None else np.random.default_rng(budget.seed)
     warm = params.copy()
-    return train(g, topo, cfg, budget, evaluator, rng, params=warm)
+    return warm, train(Task(g, topo, evaluator), warm, cfg, budget, rng)
 
 
 def validate(
@@ -226,18 +202,17 @@ def validate(
     if criterion not in ("zeroshot", "finetune"):
         raise InvalidConfigError("criterion must be 'zeroshot' or 'finetune'")
     cfg = cfg or PpoConfig()
+    tasks = [Task(g, topo, evaluator) for _, g in validation]
     for rec in records:
         params, _ = load_checkpoint(rec.path)
         zs_scores = []
         ft_scores = []
-        for k, (name, g) in enumerate(validation):
-            base = _baseline_throughput(g, topo, evaluator)
-            zs_seed = _mix(seed, rec.sample_count, k, 0)
-            tr = zero_shot(params, g, topo, evaluator, zeroshot_samples, seed=zs_seed, cfg=cfg)
-            zs_scores.append(tr.best_throughput / base if base > 0 else 0.0)
+        for k, task in enumerate(tasks):
+            tr = zero_shot(params, task, zeroshot_samples, seed=_mix(seed, rec.sample_count, k, 0), cfg=cfg)
+            zs_scores.append(tr.best_throughput / task.baseline)
             rng = np.random.default_rng(_mix(seed, rec.sample_count, k, 1))
-            _, ftr = fine_tune(params, g, topo, evaluator, SearchBudget(max_samples=finetune_budget), cfg, rng=rng)
-            ft_scores.append(ftr.best_throughput / base if base > 0 else 0.0)
+            ftr = train(task, params.copy(), cfg, SearchBudget(max_samples=finetune_budget), rng)
+            ft_scores.append(ftr.best_throughput / task.baseline)
         rec.zeroshot_score = float(np.mean(zs_scores))
         rec.finetune_score = float(np.mean(ft_scores))
     key = (lambda r: r.zeroshot_score) if criterion == "zeroshot" else (lambda r: r.finetune_score)

@@ -10,8 +10,9 @@ surrogate objective over per-node, per-step log-prob ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -68,6 +69,31 @@ class Rollout:
     valid: bool
     infeasible: bool = False
     throughput: float = 0.0  # the evaluator's score of the partition; 0 unless valid
+
+
+@dataclass(eq=False)
+class Task:
+    """One graph to train or infer on, with what stays fixed about it.
+
+    The greedy throughput that normalizes every reward is computed on first
+    use, and the policy features are built once per model config, so a
+    graph visited many times (by a corpus loop, or by every checkpoint a
+    validation scores) pays for each only once.
+    """
+
+    g: ComputationGraph
+    topo: ChipTopology
+    evaluator: Evaluator
+    _features: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def baseline(self) -> float:
+        return _baseline_throughput(self.g, self.topo, self.evaluator)
+
+    def features(self, config: ModelConfig) -> GraphFeatures:
+        if config not in self._features:
+            self._features[config] = GraphFeatures(self.g, config)
+        return self._features[config]
 
 
 def step_logp(params: PolicyParams, feats: GraphFeatures, prev: Optional[np.ndarray] = None, need_cache: bool = False,
@@ -141,19 +167,9 @@ def rollout(
     return Rollout(actions, old_logp, reward, part, valid=bool(result.valid), throughput=result.throughput)
 
 
-def rollouts(
-    g: ComputationGraph,
-    topo: ChipTopology,
-    params: PolicyParams,
-    cfg: PpoConfig,
-    rng: np.random.Generator,
-    evaluator: Evaluator,
-    feats: GraphFeatures,
-    baseline: float,
-    count: int,
-    use_solver: bool = True,
-) -> list[Rollout]:
-    """``count`` rollouts under the same parameters.
+def rollouts(task: Task, params: PolicyParams, cfg: PpoConfig, rng: np.random.Generator, count: int,
+             use_solver: bool = True) -> list[Rollout]:
+    """``count`` rollouts on ``task`` under the same parameters.
 
     Step 0 sees the same features in every rollout, so its pass runs once
     for the whole batch; the draws are those of ``count`` separate passes.
@@ -161,9 +177,11 @@ def rollouts(
     pass runs in one workspace that is dropped when the batch is drawn.
     """
     params = params.for_compute()
+    feats = task.features(params.config)
     ws = Workspace(params.config, feats.num_nodes)
     first, _ = step_logp(params, feats, ws=ws)
-    return [rollout(g, topo, params, cfg, rng, evaluator, feats, baseline, first, use_solver, ws) for _ in range(count)]
+    return [rollout(task.g, task.topo, params, cfg, rng, task.evaluator, feats, task.baseline, first, use_solver, ws)
+            for _ in range(count)]
 
 
 def _clipped_step(lp: np.ndarray, y: np.ndarray, old_lp: np.ndarray, adv: np.ndarray, inv_m: float, cfg: PpoConfig):
@@ -288,10 +306,10 @@ def ppo_update(
     """One PPO update: epochs x minibatches over a batch of rollouts.
 
     Advantages are rewards minus ``baseline_reward``, the caller's reward
-    baseline for this graph: a moving average in :func:`train`, the batch
-    mean in ``pretrain``.  A non-finite loss aborts the update before any
-    weight is touched in that minibatch.  Every minibatch's passes run in
-    one workspace and fill one gradient set, both dropped on return.
+    baseline for this graph (see :func:`train_batches`).  A non-finite loss
+    aborts the update before any weight is touched in that minibatch.  Every
+    minibatch's passes run in one workspace and fill one gradient set, both
+    dropped on return.
     """
     rewards = np.array([r.reward for r in rollouts], dtype=np.float64)
     advantages = rewards - baseline_reward
@@ -316,37 +334,41 @@ def ppo_update(
     return stats
 
 
-def train(
-    g: ComputationGraph,
-    topo: ChipTopology,
-    cfg: PpoConfig,
-    budget: SearchBudget,
-    evaluator: Evaluator,
-    rng: np.random.Generator,
-    params: Optional[PolicyParams] = None,
-    model_config: Optional[ModelConfig] = None,
-    use_solver: bool = True,
-) -> tuple[PolicyParams, SearchTrace]:
-    """Rollout/update loop; warm-starts from ``params`` when given."""
-    if params is None:
-        model_config = model_config or ModelConfig(num_chips=topo.num_chips)
-        params = init_params(model_config, rng)
-    feats = GraphFeatures(g, params.config)
-    baseline = _baseline_throughput(g, topo, evaluator)
-    trace = SearchTrace()
-    ema = None
+def train_batches(tasks: list[Task], params: PolicyParams, cfg: PpoConfig, total: int, rng: np.random.Generator,
+                  use_solver: bool = True) -> Iterator[tuple[list[Rollout], int]]:
+    """The rollout/update loop: ``total`` samples over ``tasks``, round robin.
+
+    Each visit draws one batch of up to ``cfg.num_rollouts`` rollouts on its
+    task; a full batch gets one :func:`ppo_update` of ``params`` in place.
+    Its advantages are taken against that task's reward baseline, an
+    exponential moving average (``cfg.baseline_decay``) of the task's batch
+    means that starts at its first batch's mean.  Yields each batch after
+    its update, with the number of samples drawn so far.
+    """
+    emas: list[Optional[float]] = [None] * len(tasks)
     samples = 0
-    while samples < budget.max_samples:
-        batch_size = min(cfg.num_rollouts, budget.max_samples - samples)
-        batch = rollouts(g, topo, params, cfg, rng, evaluator, feats, baseline, batch_size, use_solver)
+    while samples < total:
+        k = samples // cfg.num_rollouts % len(tasks)  # every batch but the last is full
+        count = min(cfg.num_rollouts, total - samples)
+        batch = rollouts(tasks[k], params, cfg, rng, count, use_solver)
+        samples += count
+        if count == cfg.num_rollouts:
+            mean = float(np.mean([r.reward for r in batch]))
+            ema = mean if emas[k] is None else emas[k]
+            ppo_update(params, batch, cfg, tasks[k].features(params.config), ema, rng)
+            emas[k] = cfg.baseline_decay * ema + (1 - cfg.baseline_decay) * mean
+        yield batch, samples
+
+
+def train(task: Task, params: PolicyParams, cfg: PpoConfig, budget: SearchBudget, rng: np.random.Generator,
+          use_solver: bool = True) -> SearchTrace:
+    """Train ``params`` in place on one task for ``budget.max_samples``
+    samples, and return the trace of every sample drawn."""
+    trace = SearchTrace()
+    for batch, _ in train_batches([task], params, cfg, budget.max_samples, rng, use_solver):
         for ro in batch:
             trace.record(ro, ro.partition)
-        samples += batch_size
-        if batch_size == cfg.num_rollouts:
-            ema = np.mean([r.reward for r in batch]) if ema is None else ema
-            ppo_update(params, batch, cfg, feats, float(ema), rng)
-            ema = cfg.baseline_decay * ema + (1 - cfg.baseline_decay) * float(np.mean([r.reward for r in batch]))
-    return params, trace
+    return trace
 
 
 def train_from_scratch(
@@ -359,4 +381,5 @@ def train_from_scratch(
     model_config: Optional[ModelConfig] = None,
     use_solver: bool = True,
 ) -> tuple[PolicyParams, SearchTrace]:
-    return train(g, topo, cfg, budget, evaluator, rng, params=None, model_config=model_config, use_solver=use_solver)
+    params = init_params(model_config or ModelConfig(num_chips=topo.num_chips), rng)
+    return params, train(Task(g, topo, evaluator), params, cfg, budget, rng, use_solver)

@@ -439,6 +439,18 @@ def test_corpus_pretrain_validate_flow(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_pretrain_manifest_with_one_file_stem_twice(tmp_path, capsys):
+    # a/x.json and b/x.json both load under the name "x"
+    for sub, family, nodes in (("a", "layered", 12), ("b", "chain", 20)):
+        (tmp_path / sub).mkdir()
+        assert run(["gen", "--family", family, "--nodes", nodes, "--seed", 1, "--out", tmp_path / sub / "x.json"]) == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"split_seed": 0, "train": ["a/x.json", "b/x.json"], "validation": [], "test": []}))
+    assert run(["pretrain", "--corpus", manifest, "--chips", 2, "--samples", 40, "--checkpoint-every", 40,
+                "--checkpoint-out", tmp_path / "ck", "--seed", 1]) == 0
+    assert capsys.readouterr().out.count("checkpoint,") == 1
+
+
 def test_bench_compare_and_sparsity_and_calibrate(tmp_path, capsys):
     gdir = tmp_path / "graphs"
     gdir.mkdir()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mcmpart.search
 import mcmpart.training
 from mcmpart import ChipTopology, GeneratorConfig, analytical_eval, generate_synthetic
 from mcmpart.errors import InvalidConfigError
@@ -18,7 +19,7 @@ from mcmpart.pipeline import (
 )
 from mcmpart.policy import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from mcmpart.search import SearchBudget, greedy_heuristic
-from mcmpart.training import PpoConfig, train, train_from_scratch
+from mcmpart.training import PpoConfig, Task, train_from_scratch
 from mcmpart.graph import graph_to_json
 
 
@@ -100,6 +101,32 @@ def test_pretrain_deterministic_checkpoint_bytes(tmp_path):
     assert (a_dir / "60.ckpt").read_bytes() == (b_dir / "60.ckpt").read_bytes()
 
 
+def test_pretrain_with_duplicate_train_names(tmp_path):
+    # entries are tasks of their own, whatever their names
+    g1 = generate_synthetic(GeneratorConfig("layered", 12, seed=1))
+    g2 = generate_synthetic(GeneratorConfig("chain", 20, seed=1))
+    corpus = Corpus(train=[("x", g1), ("x", g2)], validation=[], test=[])
+    recs = pretrain(corpus, ChipTopology(num_chips=2), fast_cfg(), make_analytical(), total_samples=40,
+                    checkpoint_every=20, out_dir=tmp_path, seed=0, model_config=ModelConfig.tiny(2))
+    assert [r.sample_count for r in recs] == [20, 40]
+
+
+def test_pretrain_on_one_graph_equals_train_from_scratch(tmp_path):
+    # one loop: over three updates on one graph, pretrain's final weights
+    # are those of train_from_scratch at the same seed
+    g = generate_synthetic(GeneratorConfig("layered", 8, seed=4))
+    topo = ChipTopology(num_chips=2)
+    cfg = fast_cfg()
+    total = 3 * cfg.num_rollouts
+    recs = pretrain(Corpus(train=[("g", g)], validation=[], test=[]), topo, cfg, make_analytical(),
+                    total_samples=total, checkpoint_every=total, out_dir=tmp_path, seed=5,
+                    model_config=ModelConfig.tiny(2))
+    params, _ = train_from_scratch(g, topo, cfg, SearchBudget(max_samples=total), make_analytical(),
+                                   np.random.default_rng(5), model_config=ModelConfig.tiny(2))
+    saved, _ = load_checkpoint(recs[-1].path)
+    assert saved.weights.flat.tobytes() == params.weights.flat.tobytes()
+
+
 def test_pretrain_needs_training_graphs(tmp_path):
     with pytest.raises(InvalidConfigError):
         pretrain(Corpus(train=[], validation=[], test=[]), ChipTopology(num_chips=2),
@@ -114,7 +141,7 @@ def test_zero_shot_does_not_mutate_params():
     topo = ChipTopology(num_chips=2)
     params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
     before = params.copy()
-    trace = zero_shot(params, g, topo, make_analytical(), samples=25, seed=1)
+    trace = zero_shot(params, Task(g, topo, make_analytical()), samples=25, seed=1)
     for k, v in before.weights.items():
         assert np.array_equal(params.weights[k], v)
     assert trace.num_samples == 25
@@ -137,7 +164,7 @@ def test_zero_shot_honours_solver_mode(monkeypatch):
     calls = _count_solver_calls(monkeypatch)
     g = generate_synthetic(GeneratorConfig("layered", 7, seed=3))
     params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
-    trace = zero_shot(params, g, ChipTopology(num_chips=2), make_analytical(), samples=6, seed=1,
+    trace = zero_shot(params, Task(g, ChipTopology(num_chips=2), make_analytical()), samples=6, seed=1,
                       cfg=PpoConfig(solver_mode="sample"))
     assert trace.num_samples == 6
     assert calls == {"solve_sample": 6, "solve_fix": 0}
@@ -160,7 +187,7 @@ def test_zero_shot_without_samples_rejected():
     params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
     for samples in (0, -1):
         with pytest.raises(InvalidConfigError):
-            zero_shot(params, g, ChipTopology(num_chips=2), make_analytical(), samples=samples, seed=0)
+            zero_shot(params, Task(g, ChipTopology(num_chips=2), make_analytical()), samples=samples, seed=0)
 
 
 def test_fine_tune_from_fresh_init_equals_training_from_scratch():
@@ -239,6 +266,26 @@ def test_validate_criterion_switch_changes_selection(tmp_path):
     assert best_zs.sample_count == 200  # trained wins zero-shot outright
     assert recs_ft[0].finetune_score == recs_ft[1].finetune_score  # both reach the optimum
     assert best_ft.sample_count == 100  # tie resolved to the earlier checkpoint
+
+
+def test_validate_runs_greedy_once_per_graph(monkeypatch, tmp_path):
+    calls = []
+    greedy = mcmpart.search.greedy_heuristic
+
+    def counting(g, topo):
+        calls.append(g)
+        return greedy(g, topo)
+
+    monkeypatch.setattr(mcmpart.search, "greedy_heuristic", counting)
+    records = []
+    for seed in (0, 1):
+        p = tmp_path / f"{seed + 1}.ckpt"
+        save_checkpoint(p, init_params(ModelConfig.tiny(2), np.random.default_rng(seed)))
+        records.append(CheckpointRecord(seed + 1, str(p)))
+    graphs = [(f"v{i}", generate_synthetic(GeneratorConfig("chain", 5, seed=i))) for i in (1, 2)]
+    validate(records, graphs, ChipTopology(num_chips=2), make_analytical(), finetune_budget=10,
+             zeroshot_samples=5, cfg=fast_cfg())
+    assert len(calls) == 2
 
 
 def test_validate_single_checkpoint_trivial(tmp_path):

@@ -17,9 +17,10 @@ from mcmpart.policy import (
     log_softmax,
     save_checkpoint,
 )
-from mcmpart.search import SearchBudget, _baseline_throughput, greedy_heuristic
+from mcmpart.search import SearchBudget, greedy_heuristic
 from mcmpart.training import (
     PpoConfig,
+    Task,
     adam_step,
     ppo_loss_and_grads,
     ppo_update,
@@ -42,15 +43,12 @@ def small_setup(seed=0, num_chips=2, n=5, compute_dtype="float32"):
     return g, topo, params, feats
 
 
-def collect_rollouts(g, topo, params, feats, cfg, seed, count=4, use_solver=True):
-    ev = make_analytical()
-    rng = np.random.default_rng(seed)
-    return rollouts(g, topo, params, cfg, rng, ev, feats, _baseline_throughput(g, topo, ev), count, use_solver)
+def collect_rollouts(g, topo, params, cfg, seed, count=4, use_solver=True):
+    return rollouts(Task(g, topo, make_analytical()), params, cfg, np.random.default_rng(seed), count, use_solver)
 
 
-def one_rollout(g, topo, params, cfg, seed, feats=None, use_solver=True):
-    feats = feats or GraphFeatures(g, params.config)
-    return collect_rollouts(g, topo, params, feats, cfg, seed, count=1, use_solver=use_solver)[0]
+def one_rollout(g, topo, params, cfg, seed, use_solver=True):
+    return collect_rollouts(g, topo, params, cfg, seed, count=1, use_solver=use_solver)[0]
 
 
 # ---- rollout ---------------------------------------------------------------
@@ -68,8 +66,8 @@ def test_rollout_single_chip_reward_is_one():
 
 
 def test_rollout_reward_matches_independent_recomputation():
-    g, topo, params, feats = small_setup(n=8)
-    ro = one_rollout(g, topo, params, PpoConfig(), 3, feats)
+    g, topo, params, _ = small_setup(n=8)
+    ro = one_rollout(g, topo, params, PpoConfig(), 3)
     assert ro.valid
     ev = analytical_eval(g, topo, ro.partition)
     base = analytical_eval(g, topo, greedy_heuristic(g, topo))
@@ -77,24 +75,24 @@ def test_rollout_reward_matches_independent_recomputation():
 
 
 def test_rollout_first_refinement_step_identical_across_T():
-    g, topo, params, feats = small_setup()
-    r1 = one_rollout(g, topo, params, PpoConfig(refinement_steps=1), 7, feats)
-    r2 = one_rollout(g, topo, params, PpoConfig(refinement_steps=2), 7, feats)
+    g, topo, params, _ = small_setup()
+    r1 = one_rollout(g, topo, params, PpoConfig(refinement_steps=1), 7)
+    r2 = one_rollout(g, topo, params, PpoConfig(refinement_steps=2), 7)
     assert r1.actions.shape == (1, 5)
     assert r2.actions.shape == (2, 5)
     assert np.array_equal(r1.actions[0], r2.actions[0])
 
 
 def test_rollout_solver_guarantees_valid_reward():
-    g, topo, params, feats = small_setup(n=10)
+    g, topo, params, _ = small_setup(n=10)
     for seed in range(10):
-        ro = one_rollout(g, topo, params, PpoConfig(), seed, feats)
+        ro = one_rollout(g, topo, params, PpoConfig(), seed)
         assert ro.valid and ro.reward > 0
 
 
 def test_rollout_without_solver_keeps_raw_actions():
-    g, topo, params, feats = small_setup(n=10)
-    ro = one_rollout(g, topo, params, PpoConfig(), 4, feats, use_solver=False)
+    g, topo, params, _ = small_setup(n=10)
+    ro = one_rollout(g, topo, params, PpoConfig(), 4, use_solver=False)
     assert np.array_equal(ro.partition.assignment, ro.actions[-1])
     if not ro.valid:
         assert ro.reward == 0.0
@@ -106,13 +104,12 @@ def test_rollout_with_shared_first_step_is_byte_identical(solver_mode):
     # rollout must draw the same bytes
     g, topo, params, feats = small_setup(n=12)
     cfg = PpoConfig(refinement_steps=3, solver_mode=solver_mode)
-    ev = make_analytical()
-    base = _baseline_throughput(g, topo, ev)
+    task = Task(g, topo, make_analytical())
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    shared = rollouts(g, topo, params, cfg, rng_b, ev, feats, base, 8)
+    shared = rollouts(task, params, cfg, rng_b, 8)
     assert len(shared) == 8
     for b in shared:
-        a = rollout(g, topo, params, cfg, rng_a, ev, feats, base, step_logp(params, feats)[0])
+        a = rollout(g, topo, params, cfg, rng_a, task.evaluator, feats, task.baseline, step_logp(params, feats)[0])
         assert a.actions.tobytes() == b.actions.tobytes()
         assert a.old_logp.tobytes() == b.old_logp.tobytes()
         assert a.partition.assignment.tobytes() == b.partition.assignment.tobytes()
@@ -121,11 +118,11 @@ def test_rollout_with_shared_first_step_is_byte_identical(solver_mode):
 
 
 def test_rollout_chip_count_mismatch_rejected():
-    g, topo, params, feats = small_setup(num_chips=2)
+    g, topo, params, _ = small_setup(num_chips=2)
     from mcmpart.errors import InvalidConfigError
 
     with pytest.raises(InvalidConfigError):
-        one_rollout(g, ChipTopology(num_chips=3), params, PpoConfig(), 0, feats)
+        one_rollout(g, ChipTopology(num_chips=3), params, PpoConfig(), 0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -180,7 +177,7 @@ def test_shared_first_step_loss_matches_per_rollout_reference(t_steps):
     # float64 compute: the reference differs from the loss only in summation order
     g, topo, params, feats = small_setup(seed=1, n=9, compute_dtype="float64")
     cfg = PpoConfig(refinement_steps=t_steps, clip_epsilon=0.05)
-    ros = collect_rollouts(g, topo, params, feats, cfg, seed=4, count=5)
+    ros = collect_rollouts(g, topo, params, cfg, seed=4, count=5)
     rewards = np.array([r.reward for r in ros])
     adv = rewards - rewards.mean() + np.linspace(-0.3, 0.3, len(ros))
     rng = np.random.default_rng(2)
@@ -210,7 +207,7 @@ def test_ppo_passes_in_one_workspace_match_reference_pass_by_pass(monkeypatch, c
     feats = GraphFeatures(g, model)
     assert feats.in_mean.blocks is not None and feats.out_mean_t.blocks is not None
     cfg = PpoConfig(refinement_steps=3, clip_epsilon=0.05)
-    ros = collect_rollouts(g, topo, params, feats, cfg, seed=2, count=4)
+    ros = collect_rollouts(g, topo, params, cfg, seed=2, count=4)
     adv = np.linspace(-0.5, 0.5, len(ros))
     rng = np.random.default_rng(1)
     for k in params.weights:  # move off the rollout's weights so ratios leave the clip band
@@ -266,7 +263,7 @@ def test_rollouts_store_copies_not_workspace_views(monkeypatch):
     monkeypatch.setattr(mcmpart.training, "Workspace", Recording)
     g, topo, params, feats = small_setup(n=40)
     cfg = PpoConfig(refinement_steps=3)
-    ros = collect_rollouts(g, topo, params, feats, cfg, seed=3, count=5)
+    ros = collect_rollouts(g, topo, params, cfg, seed=3, count=5)
     (ws,) = made
     buffers = (*ws.z, *ws.h, ws.t1, ws.da, ws.dh, ws.dz, ws.dw)
     kept = [(ro.actions.copy(), ro.old_logp.copy()) for ro in ros]
@@ -299,7 +296,7 @@ def test_ppo_update_makes_one_workspace_and_one_gradient_set(monkeypatch):
     monkeypatch.setattr(mcmpart.training, "adam_step", adam)
     g, topo, params, feats = small_setup(n=12)
     cfg = PpoConfig(num_rollouts=6, num_minibatches=3, num_epochs=2)
-    batch = collect_rollouts(g, topo, params, feats, cfg, seed=1, count=6)
+    batch = collect_rollouts(g, topo, params, cfg, seed=1, count=6)
     made.clear()
     stats = ppo_update(params, batch, cfg, feats, 0.5, np.random.default_rng(0))
     assert stats["updates"] == 6 and len(made) == 1 and len(grad_sets) == 1
@@ -317,7 +314,7 @@ def test_first_minibatch_replays_a_fresh_batch_with_ratio_one(monkeypatch, profi
     params = init_params(model, np.random.default_rng(0))
     feats = GraphFeatures(g, model)
     cfg = PpoConfig(num_rollouts=8, num_minibatches=2, num_epochs=2, refinement_steps=3, solver_mode=solver_mode)
-    batch = collect_rollouts(g, topo, params, feats, cfg, seed=1, count=cfg.num_rollouts)
+    batch = collect_rollouts(g, topo, params, cfg, seed=1, count=cfg.num_rollouts)
 
     replayed = []
     clipped_step = mcmpart.training._clipped_step
@@ -346,7 +343,7 @@ def test_float32_loss_and_grads_match_float64(seed):
     p32 = PolicyParams(c32, p64.weights)
     f64, f32 = GraphFeatures(g, c64), GraphFeatures(g, c32)
     cfg = PpoConfig(refinement_steps=2)
-    ros = collect_rollouts(g, topo, p64, f64, cfg, seed=1, count=6)
+    ros = collect_rollouts(g, topo, p64, cfg, seed=1, count=6)
     adv = np.linspace(-0.5, 0.5, len(ros))
 
     l64, g64, _ = ppo_loss_and_grads(p64, ros, adv, cfg, f64)
@@ -441,7 +438,7 @@ def test_zero_shot_runs_step_zero_once(monkeypatch):
     g = generate_synthetic(GeneratorConfig("layered", 10, seed=1))
     params = init_params(ModelConfig.tiny(2), np.random.default_rng(0))
     cfg = PpoConfig(refinement_steps=3)
-    zero_shot(params, g, ChipTopology(num_chips=2), make_analytical(), samples=7, cfg=cfg)
+    zero_shot(params, Task(g, ChipTopology(num_chips=2), make_analytical()), samples=7, cfg=cfg)
     assert calls["forward"] == 1 + 7 * (cfg.refinement_steps - 1)
 
 
@@ -449,7 +446,7 @@ def test_gradients_match_finite_differences():
     # float64 compute: a 1e-6 step is below float32 resolution
     g, topo, params, feats = small_setup(seed=1, compute_dtype="float64")
     cfg = PpoConfig(refinement_steps=2, entropy_bonus=0.01)
-    ros = collect_rollouts(g, topo, params, feats, cfg, seed=5)
+    ros = collect_rollouts(g, topo, params, cfg, seed=5)
     rewards = np.array([r.reward for r in ros])
     adv = rewards - rewards.mean()
     rng = np.random.default_rng(0)
@@ -475,7 +472,7 @@ def test_gradients_match_finite_differences():
 def test_zero_advantage_leaves_only_entropy_gradient():
     g, topo, params, feats = small_setup(seed=2)
     cfg = PpoConfig(entropy_bonus=0.05)
-    ros = collect_rollouts(g, topo, params, feats, cfg, seed=6)
+    ros = collect_rollouts(g, topo, params, cfg, seed=6)
     zeros = np.zeros(len(ros))
 
     _, grads_zero_adv, _ = ppo_loss_and_grads(params, ros, zeros, cfg, feats)
@@ -493,7 +490,7 @@ def test_huge_clip_equals_vanilla_policy_gradient():
     # float64 compute, for the 1e-12 comparison
     g, topo, params, feats = small_setup(seed=3, compute_dtype="float64")
     cfg = PpoConfig(clip_epsilon=1e9, entropy_bonus=0.0)
-    ros = collect_rollouts(g, topo, params, feats, cfg, seed=8)
+    ros = collect_rollouts(g, topo, params, cfg, seed=8)
     rewards = np.array([r.reward for r in ros])
     adv = rewards - rewards.mean()
     rng = np.random.default_rng(1)
@@ -524,7 +521,7 @@ def test_huge_clip_equals_vanilla_policy_gradient():
 def test_nonfinite_loss_aborts_without_touching_weights():
     g, topo, params, feats = small_setup(seed=4)
     cfg = PpoConfig()
-    ros = collect_rollouts(g, topo, params, feats, cfg, seed=9)
+    ros = collect_rollouts(g, topo, params, cfg, seed=9)
     params.weights["head_W2"][0, 0] = np.inf
     before = {k: v.copy() for k, v in params.weights.items()}
     stats = ppo_update(params, ros, cfg, feats, baseline_reward=0.0, rng=np.random.default_rng(0))
